@@ -227,12 +227,21 @@ def cmd_search_aug(args) -> int:
 
 
 def cmd_search_matrep(args) -> int:
+    if args.n < 1:
+        raise InputError(f"--n must be a positive dimension, got {args.n}")
+    if args.budget < 1:
+        raise InputError(f"--budget must be positive, got {args.budget}")
     g = _load_dga(args.dga)
-    rho = reps.search_matrix_rep(g, args.n, budget=args.budget)
+    try:
+        rho = reps.search_matrix_rep(g, args.n, budget=args.budget)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if rho is None:
         print("0 representation(s) within budget (inconclusive)")
         return EXIT_OK
-    assert reps.verify_matrix_rep(g, rho)
+    if not reps.verify_matrix_rep(g, rho):
+        print("FAILED the representation found does not verify")
+        return EXIT_FAIL
     text = reps.serialize_rep(rho)
     if args.out:
         Path(args.out).write_text(text)
@@ -325,7 +334,8 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
     p = ssub.add_parser("matrep", help="first matrix representation, if any")
     p.add_argument("--dga", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=config.budget)
+    p.add_argument("--budget", type=int, default=config.budget,
+                   help="candidate matrices to try, counted in enumeration order")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_search_matrep)
 

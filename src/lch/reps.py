@@ -3,13 +3,18 @@
 Three families live here.  Augmentations are the one-dimensional case and
 get a dedicated backtracking search with deterministic enumeration order.
 Matrix representations over F2 are searched for and verified with matrices
-stored as tuples of row bitmasks (entry (i, j) is bit j of row i), and the
-explicit two-dimensional homomorphism for maximal-tb negative torus knots
-is built directly from the labeled front.  Finally, the nontriviality
-witness for the three-generator quotient algebra is an operator action on
-a countable basis v_0, v_1, ...; since the operators roughly double basis
-indices, we truncate to N coordinates and track, per composed word, the
-largest index whose image is still exact.
+stored as tuples of row bitmasks (entry (i, j) is bit j of row i).  The
+search assigns generators in order and checks each relation once its last
+generator is assigned.  A level is solved when it closes a relation and its
+generator occurs at most once in every word of the relations it closes:
+those relations are then affine in the new image, so n^2 + 1 evaluations
+give their value at all 2^(n^2) candidates and the zeros are the survivors.
+Other levels are enumerated.  The explicit two-dimensional homomorphism
+for maximal-tb negative torus knots is built directly from the labeled
+front.  Finally, the nontriviality witness for the three-generator quotient
+algebra is an operator action on a countable basis v_0, v_1, ...; since the
+operators roughly double basis indices, we truncate to N coordinates and
+track, per composed word, the largest index whose image is still exact.
 
 Everything is over F2.  Search routines never claim nonexistence: a failed
 search within budget is inconclusive by design.
@@ -17,6 +22,7 @@ search within budget is inconclusive by design.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -247,75 +253,175 @@ def exhaustive_augmentations(g: DGA) -> list[dict[str, int]]:
 
 # ---- matrix representation search ----
 
-def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8) -> Optional[MatRepAssignment]:
-    """First Mat_n(F2) representation in deterministic order, or None.
+def _subset_xor(base: int, units: list[int]) -> list[int]:
+    """vals[c] = base ^ (XOR of units[b] over the set bits b of c), for all c."""
+    vals = [base]
+    for u in units:
+        vals += [v ^ u for v in vals]
+    return vals
 
-    Generators are assigned in presentation order, candidate matrices in
-    increasing row-major bit encoding, and every relation is checked as soon
-    as its support is complete.  Exhausting the node budget returns None,
-    which is inconclusive: nonexistence claims are the business of
-    certificate replay, never of this search.
+
+@functools.lru_cache(maxsize=None)
+def _product_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """table[x][y] is the code of the product of the matrices coded x and y.
+
+    Built on first use for each n <= 3 and shared by every search after.
+    For fixed x the map y -> xy is linear, and x E_rc is column r of x moved
+    to column c, so each row is a subset-XOR table over the columns of x.
+    Entries are drawn from one list of codes, so equal entries share an int
+    object.
+    """
+    nn = n * n
+    col_mask = sum(1 << (r * n) for r in range(n))
+    codes = list(range(1 << nn))
+    return tuple(
+        tuple(map(codes.__getitem__,
+                  _subset_xor(0, [((x >> (b // n)) & col_mask) << (b % n) for b in range(nn)])))
+        for x in codes)
+
+
+def _search(g: Union[DGA, RelationSet], n: int,
+            budget: int) -> tuple[Optional[MatRepAssignment], str, int]:
+    """search_matrix_rep's hit, why the search stopped, and its node count.
+
+    The reason is "found", "exhausted" or "budget".  Nodes count candidate
+    matrices in enumeration order, including those a solved level rules out
+    without evaluating them, and never exceed the budget.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     gens, rels = _constraints(g)
     compiled, schedule, upfront = _compile(gens, rels)
-    for k in upfront:
-        const, _, _ = compiled[k]
-        if const:
-            return None
+    if any(compiled[k][0] for k in upfront):
+        return None, "exhausted", 0
+    if not gens:
+        return MatRepAssignment(n, {}), "found", 0
     # matrices live as their row-major codes; for small n a full product
     # table turns each word step into one lookup
-    count = 1 << (n * n)
+    nn = n * n
+    count = 1 << nn
     ident = encode_matrix(mat_identity(n), n)
-    if n <= 3:
-        mul = [[encode_matrix(mat_mul(decode_matrix(x, n), decode_matrix(y, n), n), n)
-                for y in range(count)] for x in range(count)]
-    else:
-        mul = None
-    images: list[int] = [0] * len(gens)
-    nodes = 0
+    mul = _product_table(n) if n <= 3 else None
+    row_mask = (1 << n) - 1
+    col_mask = sum(1 << (r * n) for r in range(n))
+    images = [0] * len(gens)
 
-    def rel_value(k: int) -> int:
-        const, words, _ = compiled[k]
-        acc = ident if const else 0
-        for w in words:
-            m = ident
-            if mul is not None:
-                for i in w:
-                    m = mul[m][images[i]]
-                    if not m:
-                        break
-            else:
-                mm = decode_matrix(m, n)
-                for i in w:
-                    mm = mat_mul(mm, decode_matrix(images[i], n), n)
-                m = encode_matrix(mm, n)
-            acc ^= m
-        return acc
+    def product(w: tuple[int, ...]) -> int:
+        m = ident
+        if mul is not None:
+            for i in w:
+                m = mul[m][images[i]]
+                if not m:
+                    break
+        else:
+            mm = decode_matrix(m, n)
+            for i in w:
+                mm = mat_mul(mm, decode_matrix(images[i], n), n)
+            m = encode_matrix(mm, n)
+        return m
 
-    def walk(i: int) -> Optional[bool]:
-        # None bubbles up budget exhaustion, True a hit, False a dead end
-        nonlocal nodes
-        checks = schedule[i]
+    def enumerate_level(i: int, checks: list[int]) -> list[int]:
+        out = []
         for cand in range(count):
-            nodes += 1
-            if nodes > budget:
-                return None
             images[i] = cand
-            if all(rel_value(k) == 0 for k in checks):
-                if i + 1 == len(gens):
-                    return True
-                hit = walk(i + 1)
-                if hit or hit is None:
-                    return hit
-        images[i] = 0
-        return False
+            for k in checks:
+                const, words, _ = compiled[k]
+                acc = ident if const else 0
+                for w in words:
+                    acc ^= product(w)
+                if acc:
+                    break
+            else:
+                out.append(cand)
+        return out
 
-    if not gens or walk(0):
-        return MatRepAssignment(
-            n, {g_: decode_matrix(images[j], n) for j, g_ in enumerate(gens)})
-    return None
+    def solve_level(system) -> list[int]:
+        # the closing relations, packed nn bits apiece into one int, are an
+        # affine function of X: base at X = 0, plus units[b] for each bit b
+        base = 0
+        units = [0] * nn
+        for shift, const, plain, linear in system:
+            v = ident if const else 0
+            for w in plain:
+                v ^= product(w)
+            base ^= v << shift
+            for before, after in linear:
+                a = product(before)
+                b = product(after) if a else 0
+                if not b:
+                    continue
+                # A E_rc B is column r of A times row c of B; on codes that
+                # outer product is one carry-free integer multiplication
+                for r in range(n):
+                    column = (a >> r) & col_mask
+                    if column:
+                        column <<= shift
+                        for c in range(n):
+                            units[r * n + c] ^= ((b >> (c * n)) & row_mask) * column
+        return [c for c, v in enumerate(_subset_xor(base, units)) if not v]
+
+    levels = []
+    for i, checks in enumerate(schedule):
+        if not checks:
+            levels.append(functools.partial(range, count))
+        elif all(w.count(i) <= 1 for k in checks for w in compiled[k][1]):
+            system = []
+            for j, k in enumerate(checks):
+                const, words, _ = compiled[k]
+                plain = [w for w in words if i not in w]
+                linear = [(w[:w.index(i)], w[w.index(i) + 1:]) for w in words if i in w]
+                system.append((j * nn, const, plain, linear))
+            levels.append(functools.partial(solve_level, system))
+        else:
+            levels.append(functools.partial(enumerate_level, i, checks))
+
+    # depth-first over levels; tried[i] is the next code plain enumeration
+    # would try at level i, so skipped candidates are charged as they pass
+    last = len(gens) - 1
+    pending = [iter(())] * len(gens)
+    tried = [0] * len(gens)
+    nodes = 0
+    i = 0
+    pending[0] = iter(levels[0]())
+    while True:
+        cand = next(pending[i], None)
+        stop = count if cand is None else cand + 1
+        nodes += stop - tried[i]
+        tried[i] = stop
+        if nodes > budget:
+            return None, "budget", budget
+        if cand is None:
+            if i == 0:
+                return None, "exhausted", nodes
+            i -= 1
+            continue
+        images[i] = cand
+        if i == last:
+            rho = MatRepAssignment(
+                n, {g_: decode_matrix(images[j], n) for j, g_ in enumerate(gens)})
+            return rho, "found", nodes
+        i += 1
+        pending[i] = iter(levels[i]())
+        tried[i] = 0
+
+
+def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8) -> Optional[MatRepAssignment]:
+    """First Mat_n(F2) representation in deterministic order, or None.
+
+    Generators are assigned in presentation order, candidate matrices in
+    increasing row-major bit encoding, and every relation is checked as soon
+    as its support is complete.  A level whose closing relations contain its
+    generator at most once per word is solved rather than enumerated: those
+    relations are affine in the new image X, so n^2 + 1 evaluations give
+    their value at every candidate, and the zeros are visited in increasing
+    code order.  Levels that close nothing or are not linear in X are
+    enumerated.  The budget counts candidates in enumeration order either
+    way, so the first hit and the budget's meaning do not depend on solving.
+    Exhausting the node budget returns None, which is inconclusive:
+    nonexistence claims are the business of certificate replay, never of
+    this search.
+    """
+    return _search(g, n, budget)[0]
 
 
 # ---- the explicit torus-knot homomorphism ----

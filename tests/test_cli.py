@@ -6,8 +6,10 @@ import pathlib
 
 import pytest
 
-from lch import refdata
+from lch import refdata, reps
 from lch.cli import Config, EXIT_FAIL, EXIT_OK, EXIT_USAGE, default_config, main
+from lch.dga import deserialize
+from lch.reps import MatRepAssignment, _search
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 K1_DGA = str(ROOT / "data" / "k1_appendixA.dga")
@@ -201,6 +203,37 @@ def test_search_matrep_budget_exhaustion(capsys):
     code, out, _ = run(capsys, "search", "matrep", "--dga", K2_DGA,
                        "--n", "2", "--budget", "10000")
     assert code == EXIT_OK and "inconclusive" in out
+    # k2 has no finite-dimensional representation, so the same search must
+    # stop on its budget, not by exhausting the space
+    g = deserialize(pathlib.Path(K2_DGA).read_text())
+    assert _search(g, 2, 10_000)[1:] == ("budget", 10_000)
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-1"),
+                                        ("--budget", "0"), ("--budget", "-5")])
+def test_search_matrep_rejects_nonpositive_arguments(capsys, flag, value):
+    argv = {"--n": "2", "--budget": "100", flag: value}
+    code, out, err = run(capsys, "search", "matrep", "--dga", K2_DGA,
+                         *(x for kv in argv.items() for x in kv))
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and flag in err
+
+
+def test_search_matrep_rejects_laurent_dga(tmp_path, capsys):
+    dga_path = tmp_path / "t.dga"
+    run(capsys, "dga", "--strands", "4", "--ring", "zt", "2,2,2", "--out", str(dga_path))
+    code, _, err = run(capsys, "search", "matrep", "--dga", str(dga_path), "--n", "2")
+    assert code == EXIT_USAGE and err.count("\n") == 1 and "F2" in err
+
+
+def test_search_matrep_rechecks_the_hit(tmp_path, capsys, monkeypatch):
+    # the re-verification is an explicit check, so it also runs under -O
+    dga_path = tmp_path / "t.dga"
+    run(capsys, "dga", "--strands", "4", "2,2,2", "--out", str(dga_path))
+    bogus = MatRepAssignment(1, {f"x{i}": (0,) for i in range(1, 6)})
+    monkeypatch.setattr(reps, "search_matrix_rep", lambda g, n, budget: bogus)
+    code, out, _ = run(capsys, "search", "matrep", "--dga", str(dga_path), "--n", "1")
+    assert code == EXIT_FAIL and out.startswith("FAILED")
 
 
 # ---- plumbing ----

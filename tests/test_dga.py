@@ -195,10 +195,11 @@ def test_deserialize_skips_comments_and_blanks():
 
 # ---- random plats: the structural laws ----
 
-small_plats = st.tuples(
-    st.sampled_from([2, 4, 6]),
-    st.lists(st.integers(1, 5), max_size=8),
-).filter(lambda sw: all(k < sw[0] for k in sw[1]))
+# letters are drawn below the strand count rather than filtered, which
+# rejected most draws and tripped Hypothesis's filter_too_much health check
+small_plats = st.sampled_from([2, 4, 6]).flatmap(
+    lambda strands: st.tuples(st.just(strands),
+                              st.lists(st.integers(1, strands - 1), max_size=8)))
 
 
 def _front_or_skip(sw):

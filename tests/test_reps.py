@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lch import refdata
+from lch.chalg import RelationSet
 from lch.dga import compute_dga, torus_dga
-from lch.freealg import F2, ZT, NcPoly, parse
+from lch.freealg import F2, ZT, GradedPresentation, NcPoly, parse
 from lch.plat import build_front, parse_plat
 from lch.reps import (
     MatRepAssignment,
@@ -31,6 +34,7 @@ from lch.reps import (
     verify_matrix_rep,
     verify_R_relations,
     _op_from_map,
+    _search,
 )
 
 
@@ -157,6 +161,98 @@ def test_search_is_deterministic(trefoil):
 
 def test_search_budget_exhaustion_is_inconclusive(k2):
     assert search_matrix_rep(k2, 2, budget=50_000) is None
+    # k2 has no finite-dimensional representation at all, so a search that
+    # ran out of space would also return None; it must stop on the budget
+    assert _search(k2, 2, 50_000)[1:] == ("budget", 50_000)
+
+
+def _bits(rho):
+    return " ".join(ln.split(" = ")[1] for ln in serialize_rep(rho).splitlines()[1:])
+
+
+# first hits and node counts of plain enumeration, recorded before any level
+# was solved instead of enumerated
+_PINNED_SEARCHES = [
+    ("T(3,-4)", lambda: torus_dga(3, 4)[1], 2, 60_180,
+     "0100 0100 0010 0100 0010 0100 0010 0010" + " 0000" * 4),
+    ("T(3,-5)", lambda: torus_dga(3, 5)[1], 2, 101_181,
+     "0100 0100 0010 0100 0010 0100 0010 0100 0010 0010" + " 0000" * 5),
+    ("T(3,-7)", lambda: torus_dga(3, 7)[1], 2, 797_583,
+     "0100 0100 0010 0100 0010 0100 0010 0100 0010 0100 0010 0100 0010 0010"
+     + " 0000" * 7),
+    ("2,2,2", lambda: compute_dga(build_front(parse_plat("2,2,2", 4)), F2), 3, 278,
+     "000000000 000000000 100010001 000000000 000000000"),
+    ("2,2,2,2,2", lambda: compute_dga(build_front(parse_plat("2,2,2,2,2", 4)), F2), 3, 280,
+     "000000000 000000000 000000000 000000000 100010001 000000000 000000000"),
+    # above n = 3 there is no product table
+    ("2,2,2 n=4", lambda: compute_dga(build_front(parse_plat("2,2,2", 4)), F2), 4, 33_830,
+     " ".join(["0" * 16] * 2 + ["1000010000100001"] + ["0" * 16] * 2)),
+]
+
+
+@pytest.mark.parametrize("make,n,nodes,bits", [p[1:] for p in _PINNED_SEARCHES],
+                         ids=[p[0] for p in _PINNED_SEARCHES])
+def test_search_matches_plain_enumeration(make, n, nodes, bits):
+    g = make()
+    rho, reason, count = _search(g, n, 10 ** 8)
+    assert (reason, count) == ("found", nodes)
+    assert _bits(rho) == bits and verify_matrix_rep(g, rho)
+    # a budget of exactly the hit's node count still finds it; one less stops
+    assert _search(g, n, nodes)[1:] == ("found", nodes)
+    assert _search(g, n, nodes - 1)[1:] == ("budget", nodes - 1)
+
+
+def _enumeration_oracle(rs, n):
+    """First hit and node count of plain depth-first enumeration, by brute force.
+
+    A prefix of codes is tried exactly when every relation supported on its
+    parent prefix vanishes there and it does not come after the hit.
+    """
+    gens = rs.presentation.generators
+    rels = [v for _, v in rs.relations]
+    tops = [max((gens.index(x) for x in r.generators()), default=-1) for r in rels]
+    mats = [decode_matrix(c, n) for c in range(1 << (n * n))]
+
+    def passes(prefix):
+        images = dict(zip(gens, (mats[c] for c in prefix)))
+        return all(evaluate_poly(r, images, n) == mat_zero(n)
+                   for r, top in zip(rels, tops) if top < len(prefix))
+
+    codes = range(len(mats))
+    hit = next((a for a in itertools.product(codes, repeat=len(gens)) if passes(a)), None)
+    nodes = sum(1 for i in range(len(gens)) for p in itertools.product(codes, repeat=i + 1)
+                if passes(p[:-1]) and (hit is None or p <= hit[:i + 1]))
+    return hit, nodes
+
+
+@pytest.mark.parametrize("gens,rels,n", [
+    # x1 and x2 appear twice in a word of the relations they close, so both
+    # levels are enumerated; x3 closes nothing
+    (3, ["x1.x1 + 1", "x2.x1.x2 + x1 + x2"], 2),
+    (2, ["x2.x1.x2 + 1"], 2),
+    # one of x3's relations is linear in x3 and one is not
+    (3, ["x1.x3 + x3.x1 + 1", "x3.x3"], 2),
+    # x2 closes nothing; x3 is solved from two relations
+    (3, ["x1.x3 + x3.x1 + 1", "x2.x3 + x1"], 2),
+    (3, ["x1.x1 + x1 + 1", "x3.x1 + x1.x3 + x1"], 2),
+    (2, ["x1.x2 + x2.x1 + 1"], 1),
+    (2, ["1"], 2),
+])
+def test_search_matches_brute_force_oracle(gens, rels, n):
+    pres = GradedPresentation(tuple(f"x{i}" for i in range(1, gens + 1)))
+    rs = RelationSet(pres, tuple((f"r{k}", parse(t, F2)) for k, t in enumerate(rels)))
+    hit, nodes = _enumeration_oracle(rs, n)
+    rho, reason, count = _search(rs, n, 10 ** 6)
+    assert count == nodes
+    if hit is None:
+        assert rho is None and reason == "exhausted"
+    else:
+        assert reason == "found"
+        assert rho.images == {f"x{i + 1}": decode_matrix(c, n) for i, c in enumerate(hit)}
+    # every smaller budget stops on the budget, as plain enumeration would
+    assert _search(rs, n, nodes) == (rho, reason, count)
+    for budget in range(nodes):
+        assert _search(rs, n, budget) == (None, "budget", budget)
 
 
 def test_search_rejects_nonpositive_dimension(trefoil):
