@@ -5,16 +5,18 @@ get a dedicated backtracking search with deterministic enumeration order.
 Matrix representations over F2 are searched for and verified with matrices
 stored as tuples of row bitmasks (entry (i, j) is bit j of row i).  The
 search assigns generators in order and checks each relation once its last
-generator is assigned.  A level is solved when it closes a relation and its
-generator occurs at most once in every word of the relations it closes:
-those relations are then affine in the new image, so n^2 + 1 evaluations
-give their value at all 2^(n^2) candidates and the zeros are the survivors.
-Other levels are enumerated.  The explicit two-dimensional homomorphism
-for maximal-tb negative torus knots is built directly from the labeled
-front.  Finally, the nontriviality witness for the three-generator quotient
-algebra is an operator action on a countable basis v_0, v_1, ...; since the
-operators roughly double basis indices, we truncate to N coordinates and
-track, per composed word, the largest index whose image is still exact.
+generator is assigned.  For n <= 3, a level is solved when it closes a
+relation and its generator occurs at most once in every word of the
+relations it closes: those relations are then affine in the new image, so
+n^2 + 1 evaluations give their value at all 2^(n^2) candidates and the zeros
+are the survivors.  Other levels, and every level for n >= 4, are
+enumerated lazily, one candidate at a time.  The explicit two-dimensional
+homomorphism for maximal-tb negative torus knots is built directly from the
+labeled front.  Finally, the nontriviality witness for the three-generator
+quotient algebra is an operator action on a countable basis v_0, v_1, ...;
+since the operators roughly double basis indices, we truncate to N
+coordinates and track, per composed word, the largest index whose image is
+still exact.
 
 Everything is over F2.  Search routines never claim nonexistence: a failed
 search within budget is inconclusive by design.
@@ -296,8 +298,9 @@ def _search(g: Union[DGA, RelationSet], n: int,
         return None, "exhausted", 0
     if not gens:
         return MatRepAssignment(n, {}), "found", 0
-    # matrices live as their row-major codes; for small n a full product
-    # table turns each word step into one lookup
+    # matrices live as their row-major codes; for n <= 3 a full product
+    # table turns each word step into one lookup, and affine levels are
+    # solved; a 2^(n^2) table per visit is too large beyond that
     nn = n * n
     count = 1 << nn
     ident = encode_matrix(mat_identity(n), n)
@@ -320,9 +323,12 @@ def _search(g: Union[DGA, RelationSet], n: int,
             m = encode_matrix(mm, n)
         return m
 
-    def enumerate_level(i: int, checks: list[int]) -> list[int]:
-        out = []
+    def enumerate_level(i: int, checks: list[int]):
+        # yields each candidate that passes, trying none the budget would
+        # not pay for: the driver charges up to the next yield
         for cand in range(count):
+            if nodes + cand + 1 - tried[i] > budget:
+                return
             images[i] = cand
             for k in checks:
                 const, words, _ = compiled[k]
@@ -332,8 +338,7 @@ def _search(g: Union[DGA, RelationSet], n: int,
                 if acc:
                     break
             else:
-                out.append(cand)
-        return out
+                yield cand
 
     def solve_level(system) -> list[int]:
         # the closing relations, packed nn bits apiece into one int, are an
@@ -364,7 +369,7 @@ def _search(g: Union[DGA, RelationSet], n: int,
     for i, checks in enumerate(schedule):
         if not checks:
             levels.append(functools.partial(range, count))
-        elif all(w.count(i) <= 1 for k in checks for w in compiled[k][1]):
+        elif mul is not None and all(w.count(i) <= 1 for k in checks for w in compiled[k][1]):
             system = []
             for j, k in enumerate(checks):
                 const, words, _ = compiled[k]
@@ -410,13 +415,15 @@ def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8)
 
     Generators are assigned in presentation order, candidate matrices in
     increasing row-major bit encoding, and every relation is checked as soon
-    as its support is complete.  A level whose closing relations contain its
-    generator at most once per word is solved rather than enumerated: those
-    relations are affine in the new image X, so n^2 + 1 evaluations give
-    their value at every candidate, and the zeros are visited in increasing
-    code order.  Levels that close nothing or are not linear in X are
-    enumerated.  The budget counts candidates in enumeration order either
-    way, so the first hit and the budget's meaning do not depend on solving.
+    as its support is complete.  For n <= 3, a level whose closing relations
+    contain its generator at most once per word is solved rather than
+    enumerated: those relations are affine in the new image X, so n^2 + 1
+    evaluations give their value at every candidate, and the zeros are
+    visited in increasing code order.  Levels that close nothing or are not
+    linear in X, and all levels for n >= 4, are enumerated one candidate at
+    a time, stopping as soon as a candidate passes or the budget runs out.
+    The budget counts candidates in enumeration order either way, so the
+    first hit and the budget's meaning do not depend on solving.
     Exhausting the node budget returns None, which is inconclusive:
     nonexistence claims are the business of certificate replay, never of
     this search.

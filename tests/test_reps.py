@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lch import refdata
+from lch import reps as reps_module
 from lch.chalg import RelationSet
 from lch.dga import compute_dga, torus_dga
 from lch.freealg import F2, ZT, GradedPresentation, NcPoly, parse
@@ -164,6 +165,37 @@ def test_search_budget_exhaustion_is_inconclusive(k2):
     # k2 has no finite-dimensional representation at all, so a search that
     # ran out of space would also return None; it must stop on the budget
     assert _search(k2, 2, 50_000)[1:] == ("budget", 50_000)
+
+
+def _one_relation(text):
+    pres = GradedPresentation(("x1", "x2"))
+    return RelationSet(pres, (("r", parse(text, F2)),))
+
+
+@pytest.mark.parametrize("target,n", [
+    ("trefoil", 6),
+    # relations that are not linear in the generator they close at, x2 and x1
+    (_one_relation("x2.x2 + x1 + 1"), 4),
+    (_one_relation("x1.x1 + x1 + 1"), 4),
+    # linear in x2, but above n = 3 nothing is solved
+    (_one_relation("x1.x2 + x2.x1 + 1"), 4),
+])
+def test_search_budget_bounds_work_above_table(target, n, request, monkeypatch):
+    # above n = 3 every level is enumerated one candidate at a time, so a
+    # small budget stops the search after a few matrix products
+    if isinstance(target, str):
+        target = request.getfixturevalue(target)
+    products = []
+    real = reps_module.mat_mul
+    monkeypatch.setattr(reps_module, "mat_mul",
+                        lambda a, b, dim: products.append(dim) or real(a, b, dim))
+    # a solved level would tabulate all 2^(n^2) candidates on every visit
+    monkeypatch.setattr(reps_module, "_subset_xor",
+                        lambda base, units: pytest.fail("solved a level above n = 3"))
+    assert _search(target, n, 10) == (None, "budget", 10)
+    _, rels = reps_module._constraints(target)
+    letters = sum(len(w) for r in rels for w in r.terms)
+    assert 0 < len(products) <= 10 * letters
 
 
 def _bits(rho):
