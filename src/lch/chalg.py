@@ -469,7 +469,7 @@ def verify_unit(g: DGA, e: NcPoly) -> bool:
     Such an e makes the characteristic algebra trivial (0 = 1), hence the
     contact homology vanishes.  As a consistency check, a successful witness
     must be homogeneous of grading 1 when gradings are present (the
-    differential has degree -1).
+    differential has degree -1); one that is not raises CertificateError.
     """
     value = g.derivation()(e)
     if not value.is_one():
@@ -477,10 +477,8 @@ def verify_unit(g: DGA, e: NcPoly) -> bool:
     pres = g.presentation
     if pres.grading is not None:
         want = 1 % pres.modulus if pres.modulus else 1
-        for word in e.terms:
-            assert pres.word_degree(word) == want, (
-                "unit witness is not homogeneous of grading 1"
-            )
+        if any(pres.word_degree(word) != want for word in e.terms):
+            raise CertificateError("unit witness is not homogeneous of grading 1")
     return True
 
 
@@ -536,137 +534,3 @@ def adjoin_and_derive(rs: RelationSet, a: NcPoly, b: NcPoly, cert: Certificate) 
             False, "'adjoined' was used before a*b - 1 was established", report
         )
     return NoRepVerdict(True, "derived 0 = 1 after adjoining b*a = 1", report)
-
-
-# ---------------------------------------------------------------------------
-# bounded saturation
-
-
-@dataclass(frozen=True)
-class QuotientPresentation:
-    """Result of eliminating generators defined by linear-in-one-generator relations."""
-
-    surviving: tuple[str, ...]
-    relations: tuple[tuple[str, NcPoly], ...]
-    eliminated: tuple[tuple[str, NcPoly], ...]
-    unit_found: bool
-
-    def __post_init__(self) -> None:
-        gone = {g for g, _ in self.eliminated}
-        for name, value in self.relations:
-            if gone & value.generators():
-                raise ValueError(f"eliminated generator appears in relation {name!r}")
-
-
-def _unit_coef(coef: Mapping[int, int]) -> Optional[tuple[int, int]]:
-    if len(coef) != 1:
-        return None
-    (exp, c), = coef.items()
-    if c in (1, -1):
-        return exp, c
-    return None
-
-
-def _is_unit_constant(p: NcPoly) -> bool:
-    return set(p.terms) == {()} and _unit_coef(p.terms[()]) is not None
-
-
-def _max_degree(p: NcPoly) -> int:
-    return max((len(w) for w in p.terms), default=0)
-
-
-def bounded_saturation(
-    rs: RelationSet, max_applications: int = 10_000, max_degree: int = 12
-) -> QuotientPresentation:
-    """Eliminate generators with relations of the form g + p (g not in p).
-
-    Repeatedly orients such relations into substitution rules, renormalizes,
-    and watches for the constant relation 1 (trivial quotient).  Bounded by
-    a rule-application budget and a degree cap, and never unsound: every
-    emitted relation is an ideal element of the original relation set.
-    """
-    ring = rs.ring
-    work: list[tuple[str, NcPoly]] = [(n, v) for n, v in rs.relations]
-    rules: list[tuple[str, NcPoly]] = []
-    ruled: set[str] = set()
-    apps = 0
-    unit_found = any(_is_unit_constant(v) for _, v in work)
-
-    def reduce_value(value: NcPoly) -> NcPoly:
-        nonlocal apps
-        for _ in range(len(rules) + 2):
-            if apps >= max_applications:
-                return value
-            gens = value.generators()
-            if not any(g in ruled for g in gens):
-                return value
-            sigma = {g: dict(rules).get(g, NcPoly.gen(g, ring)) for g in gens}
-            new = substitute(value, sigma)
-            apps += 1
-            if _max_degree(new) > max_degree:
-                return value
-            value = new
-        return value
-
-    progress = True
-    while progress and apps < max_applications and not unit_found:
-        progress = False
-        work = [(n, reduce_value(v)) for n, v in work]
-        unit_found = any(_is_unit_constant(v) for _, v in work)
-        if unit_found:
-            break
-        for n, v in work:
-            cand = _orient(v, ring)
-            if cand is None or cand[0] in ruled:
-                continue
-            g, image = cand
-            if _max_degree(image) > max_degree:
-                continue
-            # keep existing rule images reduced wrt the new rule
-            new_rules = []
-            ok = True
-            for h, img in rules:
-                sigma = {
-                    x: (image if x == g else NcPoly.gen(x, ring)) for x in img.generators()
-                }
-                img2 = substitute(img, sigma) if g in img.generators() else img
-                if _max_degree(img2) > max_degree:
-                    ok = False
-                    break
-                new_rules.append((h, img2))
-            if not ok:
-                continue
-            rules = new_rules + [(g, image)]
-            ruled.add(g)
-            apps += 1
-            progress = True
-            break
-
-    final: list[tuple[str, NcPoly]] = []
-    seen_values = set()
-    for n, v in work:
-        if v.is_zero() or (ruled & v.generators()):
-            continue
-        if v.key() in seen_values:
-            continue
-        seen_values.add(v.key())
-        final.append((n, v))
-    surviving = tuple(g for g in rs.presentation.generators if g not in ruled)
-    return QuotientPresentation(surviving, tuple(final), tuple(rules), unit_found)
-
-
-def _orient(v: NcPoly, ring: str) -> Optional[tuple[str, NcPoly]]:
-    for word, coef in v.terms.items():
-        if len(word) != 1:
-            continue
-        g = word[0]
-        unit = _unit_coef(coef)
-        if unit is None:
-            continue
-        rest = v - NcPoly(ring, {word: coef})
-        if g in rest.generators():
-            continue
-        exp, c = unit
-        image = rest.scale(-c) if ring == F2 else rest.scale(-c).times_t(-exp)
-        return g, image
-    return None

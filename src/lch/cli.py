@@ -9,9 +9,7 @@ input or usage was bad.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,29 +22,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _RINGS = {"f2": F2, "zt": ZT}
-
-
-@dataclass(frozen=True)
-class Config:
-    """Run limits shared by the subcommands."""
-
-    base_cusp: Optional[str] = None
-    max_applications: int = 10_000
-    max_degree: int = 12
-    budget: int = 10 ** 8
-    truncation: int = 256
-    threads: int = 1
-    verbose: bool = False
-
-    def __post_init__(self):
-        limits = (self.max_applications, self.max_degree, self.budget,
-                  self.truncation, self.threads)
-        if any(v < 1 for v in limits):
-            raise ValueError("all limits must be positive")
-
-
-def default_config() -> Config:
-    return Config(threads=int(os.environ.get("LCH_THREADS", "1") or "1"))
 
 
 class InputError(Exception):
@@ -95,7 +70,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_dga(args) -> int:
     front = _front_from_args(args)
-    g = dgamod.compute_dga(front, _RINGS[args.ring])
+    try:
+        g = dgamod.compute_dga(front, _RINGS[args.ring])
+    except RuntimeError as exc:  # the disk sweep's state cap
+        raise InputError(str(exc)) from None
     _emit(dgamod.serialize(g), args.out)
     return EXIT_OK
 
@@ -140,7 +118,12 @@ def cmd_verify_d2(args) -> int:
 def cmd_verify_unit(args) -> int:
     g = _load_dga(args.dga)
     e = _element_from_file(args.element_file, g.presentation.ring)
-    if chalg.verify_unit(g, e):
+    try:
+        ok = chalg.verify_unit(g, e)
+    except chalg.CertificateError as exc:
+        print(f"FAILED {exc}")
+        return EXIT_FAIL
+    if ok:
         print("d(element) = 1: algebra is trivial")
         return EXIT_OK
     print("FAILED d(element) is not the unit")
@@ -233,11 +216,14 @@ def cmd_search_matrep(args) -> int:
         raise InputError(f"--budget must be positive, got {args.budget}")
     g = _load_dga(args.dga)
     try:
-        rho = reps.search_matrix_rep(g, args.n, budget=args.budget)
+        rho, reason, _ = reps._search(g, args.n, args.budget)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if rho is None:
+    if reason == "budget":
         print("0 representation(s) within budget (inconclusive)")
+        return EXIT_OK
+    if reason == "exhausted":
+        print("0 representation(s): search space exhausted (not a nonexistence certificate)")
         return EXIT_OK
     if not reps.verify_matrix_rep(g, rho):
         print("FAILED the representation found does not verify")
@@ -261,7 +247,7 @@ def _add_plat_args(sp) -> None:
                     help="right cusp carrying the base point (default: last)")
 
 
-def build_parser(config: Config) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lch",
         description="Legendrian knot DGAs, characteristic algebras, and representations")
@@ -320,7 +306,7 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_torus)
 
     p = vsub.add_parser("R", help="truncated operator model of the quotient algebra")
-    p.add_argument("--n", type=int, default=config.truncation)
+    p.add_argument("--n", type=int, default=256)
     p.set_defaults(fn=cmd_verify_R)
 
     s = sub.add_parser("search", help="enumerate representations")
@@ -334,7 +320,7 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
     p = ssub.add_parser("matrep", help="first matrix representation, if any")
     p.add_argument("--dga", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=config.budget,
+    p.add_argument("--budget", type=int, default=10 ** 8,
                    help="candidate matrices to try, counted in enumeration order")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_search_matrep)
@@ -343,8 +329,7 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    config = default_config()
-    ap = build_parser(config)
+    ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

@@ -218,7 +218,13 @@ def deserialize(text: str) -> DGA:
                 if ring not in (F2, ZT):
                     raise ValueError(f"unknown ring {ring!r}")
             elif parts[0] == "mod":
+                if ring is None:
+                    raise ValueError("mod before ring")
                 modulus = int(parts[1])
+                if modulus < 0:
+                    raise ValueError(f"negative modulus {modulus}")
+                if ring == ZT and modulus % 2:
+                    raise ValueError(f"ring ZT needs an even modulus, got {modulus}")
             elif parts[0] == "gen":
                 if ring is None:
                     raise ValueError("gen before ring")
@@ -433,7 +439,8 @@ def torus_front(p: int, q: int) -> tuple[FrontDiagram, TorusLabeling]:
             if above == ("v", i):
                 break
             kind, j = above
-            assert kind == "v" and j > i
+            if kind != "v" or j <= i:
+                raise RuntimeError(f"torus staircase met {above} above m_{i}")
             name = fresh()
             events.append(Event("X", (s - 1, s), name=name))
             ylab[(i, j)] = name
@@ -441,11 +448,13 @@ def torus_front(p: int, q: int) -> tuple[FrontDiagram, TorusLabeling]:
     # right cusps top to bottom
     ncross = counter
     for i in range(1, q + 1):
-        assert strand_at[2 * i - 1] == ("v", i) and strand_at[2 * i] == ("m", i)
+        if strand_at[2 * i - 1] != ("v", i) or strand_at[2 * i] != ("m", i):
+            raise RuntimeError(f"torus right cusp {i} does not join v_{i} and m_{i}")
         name = fresh()
         events.append(Event("R", (2 * i - 1, 2 * i), name=name))
         zlab[i] = name
-    assert ncross == q * (p - 1)
+    if ncross != q * (p - 1):
+        raise RuntimeError(f"torus front has {ncross} crossings, expected {q * (p - 1)}")
     front = FrontDiagram(n_slots, events)
     return front, TorusLabeling(xlab, ylab, zlab)
 

@@ -9,7 +9,7 @@ so that equality is literal equality of term dictionaries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 F2 = "F2"
@@ -236,26 +236,6 @@ class NcPoly:
         return f"NcPoly({self.ring}, {self.render()})"
 
 
-def zero(ring: str) -> NcPoly:
-    return NcPoly.zero(ring)
-
-
-def one(ring: str) -> NcPoly:
-    return NcPoly.one(ring)
-
-
-def gen(name: str, ring: str) -> NcPoly:
-    return NcPoly.gen(name, ring)
-
-
-def add(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p + q
-
-
-def mul(p: NcPoly, q: NcPoly) -> NcPoly:
-    return p * q
-
-
 def parse(text: str, ring: str) -> NcPoly:
     """Parse the canonical flat rendering back into an NcPoly."""
     _check_ring(ring)
@@ -319,10 +299,6 @@ def substitute(p: NcPoly, sigma: Mapping[str, NcPoly]) -> NcPoly:
             cache[w] = img
         out = out + NcPoly(p.ring, {u: _coef_mul(coef, c) for u, c in img.terms.items()})
     return out
-
-
-def identity_map(p: NcPoly) -> dict[str, NcPoly]:
-    return {g: NcPoly.gen(g, p.ring) for g in p.generators()}
 
 
 def specialize(p: NcPoly) -> NcPoly:

@@ -23,7 +23,7 @@ live in Z when r = 0 and in Z/|2r| otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 # crossing grading = this sign times (potential(upper west strand) -
@@ -173,38 +173,15 @@ class FrontDiagram:
                 break
             directions[seg] = di
             potential[seg] = pot
-            if di == 1:
-                ev = self.events[j]
-                c, d = ev.slots
-                if ev.kind == "X" and s in (c, d):
-                    dart = (j + 1, d if s == c else c, 1)
-                elif ev.kind == "R" and s in (c, d):
-                    if s == c:
-                        down += 1
-                        pot -= 1
-                        dart = (j, d, -1)
-                    else:
-                        up += 1
-                        pot += 1
-                        dart = (j, c, -1)
+            dart = self._step(dart)
+            # a turn is a cusp; turning onto the lower branch is a down cusp
+            if dart[2] != di:
+                if dart[1] > s:
+                    down += 1
+                    pot -= 1
                 else:
-                    dart = (j + 1, s, 1)
-            else:
-                ev = self.events[j - 1]
-                c, d = ev.slots
-                if ev.kind == "X" and s in (c, d):
-                    dart = (j - 1, d if s == c else c, -1)
-                elif ev.kind == "L" and s in (c, d):
-                    if s == c:
-                        down += 1
-                        pot -= 1
-                        dart = (j, d, 1)
-                    else:
-                        up += 1
-                        pot += 1
-                        dart = (j, c, 1)
-                else:
-                    dart = (j - 1, s, -1)
+                    up += 1
+                    pot += 1
         all_segments = self.segments()
         visited = len(directions)
         if visited == len(all_segments):
@@ -249,20 +226,6 @@ class FrontDiagram:
             return (j, d if s == c else c, 1)
         return (j - 1, s, -1)
 
-    def summary_lines(self) -> list[str]:
-        out = []
-        ln = rn = 0
-        for ev in self.events:
-            if ev.kind == "L":
-                ln += 1
-                out.append(f"L {ln}")
-            elif ev.kind == "R":
-                rn += 1
-                out.append(f"R {rn}")
-            else:
-                out.append(f"X {ev.slots[0]}")
-        return out
-
 
 def build_front(word: PlatWord, base_cusp: str | None = None,
                 base_exp: int = -1) -> FrontDiagram:
@@ -288,7 +251,8 @@ def classical_invariants(front: FrontDiagram) -> tuple[int, int]:
     writhe = sum(tr.crossing_signs.values())
     tb = writhe - len(front.cusp_names)
     r2 = tr.down_cusps - tr.up_cusps
-    assert r2 % 2 == 0
+    if r2 % 2:
+        raise ValueError(f"odd cusp imbalance {r2}: the front is not a closed knot")
     return tb, r2 // 2
 
 

@@ -319,26 +319,3 @@ def k2_norep_cert_text() -> str:
         "assert-unit r_one",
         "",
     ])
-
-
-def r_algebra_relation_set():
-    """The three-generator algebra presented by the four derived relations.
-
-    Generators a, b, c; relations (1+ab)c = 1, (1+ba)c = 0, (1+ba)ac = 1 and
-    1 + c(1+ab) + ac(1+ba) = 0.  Nontrivial (the truncated operator model in
-    reps realizes it), so saturation must not find a unit.
-    """
-    from .chalg import RelationSet
-
-    one = NcPoly.one(F2)
-    a, b, c = (NcPoly.gen(x, F2) for x in "abc")
-    f = one + a * b
-    g = one + b * a
-    pres = GradedPresentation(("a", "b", "c"), None, F2)
-    rels = (
-        ("rel_big", one + c * f + a * c * g),
-        ("rel_gc", g * c),
-        ("rel_fc", one + f * c),
-        ("rel_gac", one + g * a * c),
-    )
-    return RelationSet(pres, rels)

@@ -107,9 +107,7 @@ def evaluate_poly(p: NcPoly, images: Mapping[str, Mat], n: int) -> Mat:
     if p.ring != F2:
         raise ValueError("matrix evaluation is defined over F2 only")
     acc = mat_zero(n)
-    for word, coef in p.terms.items():
-        if coef.get(0, 0) % 2 == 0:
-            continue
+    for word in p.terms:
         m = mat_identity(n)
         for g in word:
             img = images.get(g)
@@ -173,9 +171,7 @@ def _compile(gens: tuple[str, ...], rels: list[NcPoly]):
         const = 0
         words = []
         top = -1
-        for word, coef in r.terms.items():
-            if coef.get(0, 0) % 2 == 0:
-                continue
+        for word in r.terms:
             if not word:
                 const ^= 1
                 continue
@@ -241,15 +237,21 @@ def find_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int]]:
 
 
 def exhaustive_augmentations(g: DGA) -> list[dict[str, int]]:
-    """Brute-force oracle: filter all 2^n assignments.  Refuses n > 20."""
+    """Brute-force oracle: filter all 2^n assignments.  Refuses n > 20.
+
+    Each relation is evaluated from its terms, sharing no code with the
+    compiled system that find_augmentations checks.
+    """
     gens, rels = _constraints(g)
     if len(gens) > 20:
         raise ValueError(f"{len(gens)} generators is too many for brute force")
-    compiled, _, _ = _compile(gens, rels)
     out = []
     for values in itertools.product((0, 1), repeat=len(gens)):
-        if all(_aug_value(c, values) == 0 for c in compiled):
-            out.append(dict(zip(gens, values)))
+        eps = dict(zip(gens, values))
+        # over F2 every stored term has coefficient 1
+        if all(sum(all(eps[x] for x in word) for word in r.terms) % 2 == 0
+               for r in rels):
+            out.append(eps)
     return out
 
 
@@ -556,19 +558,9 @@ class TruncatedOp:
         """Composite acting by self first, then other."""
         if self.N != other.N:
             raise ValueError("mismatched truncation sizes")
-        rows = []
-        for mask in self.rows:
-            acc = 0
-            j = 0
-            while mask:
-                if mask & 1:
-                    acc ^= other.rows[j]
-                mask >>= 1
-                j += 1
-            rows.append(acc)
         # within the composed bound no intermediate index ever truncates,
         # because slopes are >= 1 and offsets >= 0
-        return TruncatedOp(self.N, tuple(rows),
+        return TruncatedOp(self.N, mat_mul(self.rows, other.rows, self.N),
                            self.slope * other.slope,
                            other.slope * self.offset + other.offset)
 
@@ -632,9 +624,7 @@ def evaluate_poly_ops(p: NcPoly, ops: Mapping[str, TruncatedOp], N: int) -> Trun
     if p.ring != F2:
         raise ValueError("operator evaluation is defined over F2 only")
     acc = None
-    for word, coef in sorted(p.terms.items(), key=lambda kv: word_key(kv[0])):
-        if coef.get(0, 0) % 2 == 0:
-            continue
+    for word in p.terms:
         m = op_identity(N)
         for g in word:
             m = m.then(ops[g])

@@ -1,4 +1,4 @@
-"""Characteristic algebras, certificate replay, and bounded saturation."""
+"""Characteristic algebras and certificate replay."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from lch.chalg import (
     CertificateError,
     RelationSet,
     adjoin_and_derive,
-    bounded_saturation,
     char_algebra,
     parse_certificate,
     render_certificate,
@@ -278,54 +277,10 @@ def test_adjoin_free_algebra_cannot_conclude():
     assert not verdict.ok
 
 
-# ---- bounded saturation ----
-
-def test_saturation_eliminates_isolated_generators(k2):
-    q = bounded_saturation(char_algebra(k2))
-    gone = [name for name, _ in q.eliminated]
-    assert "x1" in gone and "x6" in gone
-    assert not q.unit_found
-    assert "x2" in q.surviving and "x5" in q.surviving
-
-
-def test_saturation_detects_unit():
-    rs = rel_set(["x1"], [("r1", "x1"), ("r2", "1 + x1")])
-    q = bounded_saturation(rs)
-    assert q.unit_found
-
-
-def test_saturation_leaves_r_presentation_alone():
-    rs = refdata.r_algebra_relation_set()
-    q = bounded_saturation(rs)
-    assert not q.unit_found
-    assert q.surviving == ("a", "b", "c")
-    assert len(q.relations) == 4
-
-
-def test_saturation_empty_input():
-    rs = rel_set(["x1"], [])
-    q = bounded_saturation(rs)
-    assert q.surviving == ("x1",) and q.relations == ()
-
-
 # ---- soundness: evaluations killing the inputs kill everything derived ----
 
 def _random_assignment(gens, rng):
     return {g: tuple(rng.randrange(4) for _ in range(2)) for g in gens}
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_saturation_preserves_mat2_solutions(rng):
-    rs = refdata.r_algebra_relation_set()
-    gens = rs.presentation.generators
-    images = _random_assignment(gens, rng)
-    zero = mat_zero(2)
-    if not all(evaluate_poly(v, images, 2) == zero for _, v in rs.relations):
-        return
-    q = bounded_saturation(rs)
-    for _, v in q.relations:
-        assert evaluate_poly(v, images, 2) == zero
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from lch import refdata, reps
-from lch.cli import Config, EXIT_FAIL, EXIT_OK, EXIT_USAGE, default_config, main
+from lch.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from lch.dga import deserialize
 from lch.reps import MatRepAssignment, _search
 
@@ -63,6 +67,12 @@ def test_dga_out_flag(tmp_path, capsys):
     assert target.read_text().startswith("ring F2")
 
 
+def test_dga_sweep_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "dga", "--strands", "4", "1,1,1,1,1,3,1,1,2")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: disk sweep for x9 exceeded 52 states per slice\n"
+
+
 def test_invariants_k1(capsys):
     code, out, _ = run(capsys, "invariants", "--strands", "8", refdata.K1_WORD)
     assert code == EXIT_OK
@@ -99,6 +109,20 @@ def test_verify_d2_failure(tmp_path, capsys):
     assert code == EXIT_FAIL and "FAILED" in out
 
 
+@pytest.mark.parametrize("head,why", [
+    ("ring F2\nmod -4", "line 2: negative modulus"),
+    ("ring ZT\nmod -4", "line 2: negative modulus"),
+    ("ring ZT\nmod 3", "line 2: ring ZT needs an even modulus"),
+    ("mod 2\nring ZT", "line 1: mod before ring"),
+])
+def test_verify_d2_rejects_bad_modulus(tmp_path, capsys, head, why):
+    bad = tmp_path / "bad.dga"
+    bad.write_text(f"{head}\ngen x1 1\ngen x2 0\nd x1 = x2\n")
+    code, out, err = run(capsys, "verify", "d2", "--dga", str(bad))
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and why in err
+
+
 def test_verify_unit_bundled(capsys):
     code, out, _ = run(capsys, "verify", "unit", "--dga", K1_DGA,
                        "--element-file", K1_EXPR)
@@ -111,6 +135,22 @@ def test_verify_unit_failure(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "unit", "--dga", K2_DGA,
                        "--element-file", str(el))
     assert code == EXIT_FAIL
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_unit_rejects_inhomogeneous_witness(tmp_path, flags):
+    # d(x1 + x2) = 1, but the witness mixes degrees 1 and 0; the check is
+    # explicit, so python -O must not skip it
+    dga_path = tmp_path / "u.dga"
+    dga_path.write_text("ring F2\ngen x1 1\ngen x2 0\nd x1 = 1\n")
+    el = tmp_path / "e.expr"
+    el.write_text("x1 + x2\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "lch", "verify", "unit", "--dga", str(dga_path),
+         "--element-file", str(el)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_FAIL and proc.stderr == ""
+    assert proc.stdout == "FAILED unit witness is not homogeneous of grading 1\n"
 
 
 def test_verify_cert_k1(capsys):
@@ -202,11 +242,23 @@ def test_search_matrep_trefoil(tmp_path, capsys):
 def test_search_matrep_budget_exhaustion(capsys):
     code, out, _ = run(capsys, "search", "matrep", "--dga", K2_DGA,
                        "--n", "2", "--budget", "10000")
-    assert code == EXIT_OK and "inconclusive" in out
+    assert code == EXIT_OK
+    assert out == "0 representation(s) within budget (inconclusive)\n"
     # k2 has no finite-dimensional representation, so the same search must
     # stop on its budget, not by exhausting the space
     g = deserialize(pathlib.Path(K2_DGA).read_text())
     assert _search(g, 2, 10_000)[1:] == ("budget", 10_000)
+
+
+def test_search_matrep_exhausted(tmp_path, capsys):
+    dga_path = tmp_path / "t34.dga"
+    run(capsys, "torus-dga", "--p", "3", "--q", "4", "--out", str(dga_path))
+    code, out, _ = run(capsys, "search", "matrep", "--dga", str(dga_path), "--n", "1")
+    assert code == EXIT_OK
+    assert out == ("0 representation(s): search space exhausted "
+                   "(not a nonexistence certificate)\n")
+    g = deserialize(dga_path.read_text())
+    assert _search(g, 1, 10 ** 8)[1:] == ("exhausted", 68)
 
 
 @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-1"),
@@ -231,7 +283,7 @@ def test_search_matrep_rechecks_the_hit(tmp_path, capsys, monkeypatch):
     dga_path = tmp_path / "t.dga"
     run(capsys, "dga", "--strands", "4", "2,2,2", "--out", str(dga_path))
     bogus = MatRepAssignment(1, {f"x{i}": (0,) for i in range(1, 6)})
-    monkeypatch.setattr(reps, "search_matrix_rep", lambda g, n, budget: bogus)
+    monkeypatch.setattr(reps, "_search", lambda g, n, budget: (bogus, "found", 1))
     code, out, _ = run(capsys, "search", "matrep", "--dga", str(dga_path), "--n", "1")
     assert code == EXIT_FAIL and out.startswith("FAILED")
 
@@ -271,11 +323,17 @@ def test_help_documents_commands(capsys):
         assert cmd in out
 
 
-def test_config_env_thread_count(monkeypatch):
-    monkeypatch.setenv("LCH_THREADS", "4")
-    assert default_config().threads == 4
+def test_thread_variable_is_not_read(monkeypatch, capsys):
+    monkeypatch.setenv("LCH_THREADS", "abc")
+    code, out, _ = run(capsys, "invariants", "--strands", "4", "2,2,2")
+    assert code == EXIT_OK and out == "tb = 1\nr = 0\n"
 
 
-def test_config_rejects_nonpositive_limits():
-    with pytest.raises(ValueError):
-        Config(budget=0)
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no check may rest on one
+    found = []
+    for path in sorted((ROOT / "src" / "lch").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
