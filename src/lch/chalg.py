@@ -470,7 +470,11 @@ def verify_unit(g: DGA, e: NcPoly) -> bool:
     contact homology vanishes.  As a consistency check, a successful witness
     must be homogeneous of grading 1 when gradings are present (the
     differential has degree -1); one that is not raises CertificateError.
+    An e naming generators the DGA lacks raises ValueError.
     """
+    unknown = sorted(e.generators() - set(g.presentation.generators))
+    if unknown:
+        raise ValueError(f"unknown generator(s) {', '.join(unknown)} in unit witness")
     value = g.derivation()(e)
     if not value.is_one():
         return False

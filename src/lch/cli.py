@@ -3,7 +3,9 @@
 Thin dispatchers only: each subcommand parses its inputs, calls one library
 operation, and prints a deterministic report.  Exit codes are scriptable:
 0 means verified or completed, 1 means an assertion failed, 2 means the
-input or usage was bad.
+input or usage was bad.  Input faults surface as ValueError (CertificateError
+and GradingError are subclasses), and main turns every one into a one-line
+message and exit 2.
 """
 
 from __future__ import annotations
@@ -24,30 +26,23 @@ EXIT_USAGE = 2
 _RINGS = {"f2": F2, "zt": ZT}
 
 
-class InputError(Exception):
-    """Bad file or argument contents; maps to the usage exit code."""
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _load_dga(path: str) -> dgamod.DGA:
+    text = _read(path)
     try:
-        return dgamod.deserialize(_read(path))
+        return dgamod.deserialize(text)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _front_from_args(args) -> "FrontDiagram":
-    try:
-        word = parse_plat(args.word, args.strands)
-        return build_front(word, base_cusp=args.base_cusp)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return build_front(parse_plat(args.word, args.strands), base_cusp=args.base_cusp)
 
 
 def _element_from_file(path: str, ring: str) -> NcPoly:
@@ -56,7 +51,7 @@ def _element_from_file(path: str, ring: str) -> NcPoly:
     try:
         return parse_poly(body, ring)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -73,7 +68,7 @@ def cmd_dga(args) -> int:
     try:
         g = dgamod.compute_dga(front, _RINGS[args.ring])
     except RuntimeError as exc:  # the disk sweep's state cap
-        raise InputError(str(exc)) from None
+        raise ValueError(str(exc)) from None
     _emit(dgamod.serialize(g), args.out)
     return EXIT_OK
 
@@ -96,10 +91,7 @@ def cmd_grading(args) -> int:
 
 
 def cmd_torus_dga(args) -> int:
-    try:
-        front, g, lab = dgamod.torus_dga(args.p, args.q)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    front, g, lab = dgamod.torus_dga(args.p, args.q)
     _emit(dgamod.serialize(g), args.out)
     return EXIT_OK
 
@@ -134,12 +126,9 @@ def cmd_verify_cert(args) -> int:
     g = _load_dga(args.dga)
     text = _read(args.cert)
     ring = g.presentation.ring
-    try:
-        cert = chalg.parse_certificate(text, ring=ring)
-        directives = chalg.parse_cert_directives(text, ring=ring)
-        rs = chalg.char_algebra(g).adjoin_all(directives.assumptions)
-    except (chalg.CertificateError, ValueError) as exc:
-        raise InputError(str(exc)) from None
+    cert = chalg.parse_certificate(text, ring=ring)
+    directives = chalg.parse_cert_directives(text, ring=ring)
+    rs = chalg.char_algebra(g).adjoin_all(directives.assumptions)
     report = chalg.verify_certificate(rs, cert)
     for line in report.lines():
         print(line)
@@ -150,14 +139,11 @@ def cmd_verify_norep(args) -> int:
     g = _load_dga(args.dga)
     text = _read(args.cert)
     ring = g.presentation.ring
-    try:
-        cert = chalg.parse_certificate(text, ring=ring)
-        directives = chalg.parse_cert_directives(text, ring=ring)
-    except chalg.CertificateError as exc:
-        raise InputError(str(exc)) from None
+    cert = chalg.parse_certificate(text, ring=ring)
+    directives = chalg.parse_cert_directives(text, ring=ring)
     missing = {"a", "b"} - set(directives.witnesses)
     if missing:
-        raise InputError(f"certificate lacks witness line(s) for {sorted(missing)}")
+        raise ValueError(f"certificate lacks witness line(s) for {sorted(missing)}")
     verdict = chalg.adjoin_and_derive(
         chalg.char_algebra(g), directives.witnesses["a"], directives.witnesses["b"], cert)
     print(verdict.detail)
@@ -166,31 +152,22 @@ def cmd_verify_norep(args) -> int:
 
 def cmd_verify_rep(args) -> int:
     g = _load_dga(args.dga)
-    try:
-        rho = reps.deserialize_rep(_read(args.rep))
-        ok = reps.verify_matrix_rep(g, rho)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    rho = reps.deserialize_rep(_read(args.rep))
+    ok = reps.verify_matrix_rep(g, rho)
     print(f"representation of dimension {rho.n}: {'verified' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_verify_torus(args) -> int:
-    try:
-        front, g, lab = dgamod.torus_dga(args.p, args.q)
-        rho = reps.torus_rep(args.p, args.q, lab)
-        ok = reps.verify_matrix_rep(g, rho)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    front, g, lab = dgamod.torus_dga(args.p, args.q)
+    rho = reps.torus_rep(args.p, args.q, lab)
+    ok = reps.verify_matrix_rep(g, rho)
     print(f"torus({args.p},{args.q}) representation: {'verified' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_verify_R(args) -> int:
-    try:
-        report = reps.verify_R_relations(args.n)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = reps.verify_R_relations(args.n)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -198,10 +175,7 @@ def cmd_verify_R(args) -> int:
 
 def cmd_search_aug(args) -> int:
     g = _load_dga(args.dga)
-    try:
-        found = reps.find_augmentations(g, graded=args.graded)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    found = reps.find_augmentations(g, graded=args.graded)
     gens = g.presentation.generators
     for eps in found:
         print(" ".join(f"{name}={eps[name]}" for name in gens))
@@ -211,14 +185,11 @@ def cmd_search_aug(args) -> int:
 
 def cmd_search_matrep(args) -> int:
     if args.n < 1:
-        raise InputError(f"--n must be a positive dimension, got {args.n}")
+        raise ValueError(f"--n must be a positive dimension, got {args.n}")
     if args.budget < 1:
-        raise InputError(f"--budget must be positive, got {args.budget}")
+        raise ValueError(f"--budget must be positive, got {args.budget}")
     g = _load_dga(args.dga)
-    try:
-        rho, reason, _ = reps._search(g, args.n, args.budget)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    rho, reason, _ = reps._search(g, args.n, args.budget)
     if reason == "budget":
         print("0 representation(s) within budget (inconclusive)")
         return EXIT_OK
@@ -228,11 +199,7 @@ def cmd_search_matrep(args) -> int:
     if not reps.verify_matrix_rep(g, rho):
         print("FAILED the representation found does not verify")
         return EXIT_FAIL
-    text = reps.serialize_rep(rho)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(reps.serialize_rep(rho), args.out)
     print("1 representation(s)")
     return EXIT_OK
 
@@ -333,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except ValueError as exc:  # bad file or argument contents
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -202,6 +202,7 @@ def serialize(dga: DGA) -> str:
 def deserialize(text: str) -> DGA:
     ring = None
     modulus = 0
+    seen_mod = False
     gens: list[str] = []
     grading: dict[str, int] = {}
     diff: dict[str, NcPoly] = {}
@@ -220,6 +221,9 @@ def deserialize(text: str) -> DGA:
             elif parts[0] == "mod":
                 if ring is None:
                     raise ValueError("mod before ring")
+                if seen_mod:
+                    raise ValueError("duplicate mod line")
+                seen_mod = True
                 modulus = int(parts[1])
                 if modulus < 0:
                     raise ValueError(f"negative modulus {modulus}")
@@ -241,6 +245,8 @@ def deserialize(text: str) -> DGA:
                     raise ValueError("expected '=' after generator name")
                 if name not in grading:
                     raise ValueError(f"differential for unknown generator {name}")
+                if name in diff:
+                    raise ValueError(f"duplicate differential for {name}")
                 poly = parse(rest[1:].strip(), ring)
                 for u in poly.generators():
                     if u not in grading:

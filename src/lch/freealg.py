@@ -114,10 +114,6 @@ class NcPoly:
         return NcPoly(ring, {(): {0: 1}})
 
     @staticmethod
-    def const(c: int, ring: str) -> "NcPoly":
-        return NcPoly(ring, {(): {0: c}})
-
-    @staticmethod
     def gen(name: str, ring: str) -> "NcPoly":
         return NcPoly.word([name], ring)
 
@@ -167,16 +163,6 @@ class NcPoly:
         return NcPoly(
             self.ring,
             {w: {e: n * c for e, c in coef.items()} for w, coef in self.terms.items()},
-        )
-
-    def times_t(self, k: int) -> "NcPoly":
-        if self.ring != ZT:
-            if k == 0:
-                return self
-            raise ValueError("t powers only exist over ZT")
-        return NcPoly(
-            ZT,
-            {w: {e + k: c for e, c in coef.items()} for w, coef in self.terms.items()},
         )
 
     # ---- predicates / inspection ----

@@ -79,12 +79,10 @@ def mat_mul(a: Mat, b: Mat, n: int) -> Mat:
     out = []
     for row in a:
         acc = 0
-        j = 0
         while row:
-            if row & 1:
-                acc ^= b[j]
-            row >>= 1
-            j += 1
+            low = row & -row
+            acc ^= b[low.bit_length() - 1]
+            row ^= low
         out.append(acc)
     return tuple(out)
 
@@ -531,12 +529,11 @@ def mat2_presentation_check() -> bool:
 class TruncatedOp:
     """Right-acting operator truncated to N coordinates.
 
-    rows[i] is the image of v_i as a bitmask over v_0..v_{N-1}; basis
-    vectors pushed past the truncation are silently dropped, so results are
-    only trusted on v_0..v_{valid_domain}.  The affine bound index ->
-    slope*index + offset dominates the operator's untruncated index growth
-    and composes multiplicatively, which is what makes the bound cheap to
-    maintain through words.
+    rows[i] is the image of v_i as a bitmask over v_0..v_{N-1}, so a word
+    acts as the mat_mul product of its letters' rows, leftmost letter first.
+    Basis vectors pushed past the truncation are silently dropped, so results
+    are only trusted on v_0..v_{valid_domain}.  The affine bound index ->
+    slope*index + offset dominates the operator's untruncated index growth.
     """
 
     N: int
@@ -553,34 +550,6 @@ class TruncatedOp:
     @property
     def valid_domain(self) -> int:
         return min(self.N - 1, (self.N - 1 - self.offset) // self.slope)
-
-    def then(self, other: "TruncatedOp") -> "TruncatedOp":
-        """Composite acting by self first, then other."""
-        if self.N != other.N:
-            raise ValueError("mismatched truncation sizes")
-        # within the composed bound no intermediate index ever truncates,
-        # because slopes are >= 1 and offsets >= 0
-        return TruncatedOp(self.N, mat_mul(self.rows, other.rows, self.N),
-                           self.slope * other.slope,
-                           other.slope * self.offset + other.offset)
-
-    def __add__(self, other: "TruncatedOp") -> "TruncatedOp":
-        if self.N != other.N:
-            raise ValueError("mismatched truncation sizes")
-        return TruncatedOp(self.N, tuple(x ^ y for x, y in zip(self.rows, other.rows)),
-                           max(self.slope, other.slope),
-                           max(self.offset, other.offset))
-
-    def is_zero_on_domain(self) -> bool:
-        return all(self.rows[i] == 0 for i in range(self.valid_domain + 1))
-
-    def agrees_with(self, other: "TruncatedOp") -> bool:
-        upto = min(self.valid_domain, other.valid_domain)
-        return all(self.rows[i] == other.rows[i] for i in range(upto + 1))
-
-
-def op_identity(N: int) -> TruncatedOp:
-    return TruncatedOp(N, tuple(1 << i for i in range(N)), 1, 0)
 
 
 def _op_from_map(N: int, fn, slope: int, offset: int) -> TruncatedOp:
@@ -619,31 +588,34 @@ def build_R_truncated(N: int) -> dict[str, TruncatedOp]:
     return ops
 
 
-def evaluate_poly_ops(p: NcPoly, ops: Mapping[str, TruncatedOp], N: int) -> TruncatedOp:
-    """Right action of a polynomial: leftmost letter acts first."""
-    if p.ring != F2:
-        raise ValueError("operator evaluation is defined over F2 only")
-    acc = None
+def _growth(p: NcPoly, ops: Mapping[str, TruncatedOp]) -> tuple[int, int]:
+    """(slope, offset) of an affine bound on p's untruncated index growth.
+
+    Along a word the letters' bounds compose in the order they act; over
+    the terms the larger slope and the larger offset are kept.  Slopes are
+    >= 1 and offsets >= 0, so no intermediate index truncates below the
+    resulting valid domain.
+    """
+    slope, offset = 1, 0
     for word in p.terms:
-        m = op_identity(N)
+        s, o = 1, 0
         for g in word:
-            m = m.then(ops[g])
-        acc = m if acc is None else acc + m
-    return acc if acc is not None else TruncatedOp(N, (0,) * N, 1, 0)
+            s, o = s * ops[g].slope, ops[g].slope * o + ops[g].offset
+        slope, offset = max(slope, s), max(offset, o)
+    return slope, offset
 
 
-_R_RELATIONS = (
-    ("1 + c(1+ab) + ac(1+ba)", "1 + c + c.a.b + a.c + a.c.b.a"),
-    ("(1+ba)c", "c + b.a.c"),
-    ("1 + (1+ab)c", "1 + c + a.b.c"),
-    ("1 + (1+ba)ac", "1 + a.c + b.a.a.c"),
-)
-
-_R_IDENTITIES = (
-    # chains are in application order, so s applied after p realizes s o p
-    ("s o p = f + 1", ("p", "s"), ("f", "")),
-    ("p o g = f", ("g", "p"), ("f",)),
-    ("p o s = g + 1", ("s", "p"), ("g", "")),
+# (name, left, right): each check asserts left = right on the valid domain;
+# the first four are the defining relations, the rest composition identities
+# written in application order, so p.s realizes s o p
+_R_CHECKS = (
+    ("1 + c(1+ab) + ac(1+ba)", "1 + c + c.a.b + a.c + a.c.b.a", "0"),
+    ("(1+ba)c", "c + b.a.c", "0"),
+    ("1 + (1+ab)c", "1 + c + a.b.c", "0"),
+    ("1 + (1+ba)ac", "1 + a.c + b.a.a.c", "0"),
+    ("s o p = f + 1", "p.s", "f + 1"),
+    ("p o g = f", "g.p", "f"),
+    ("p o s = g + 1", "s.p", "g + 1"),
 )
 
 
@@ -667,15 +639,24 @@ class RRelationReport:
         return out
 
 
+def _check(ops: Mapping[str, TruncatedOp], N: int, table) -> RRelationReport:
+    if any(op.N != N for op in ops.values()):
+        raise ValueError("mismatched truncation sizes")
+    rows = {key: op.rows for key, op in ops.items()}
+    checks = []
+    for name, left, right in table:
+        sides = [parse(left, F2), parse(right, F2)]
+        value = evaluate_poly(sides[0] + sides[1], rows, N)
+        upto = min(TruncatedOp(N, value, *_growth(q, ops)).valid_domain for q in sides)
+        if upto < 0:
+            raise ValueError(f"empty valid domain for {name}; increase N")
+        checks.append(RRelationCheck(name, upto, not any(value[:upto + 1])))
+    return RRelationReport(all(c.ok for c in checks), tuple(checks))
+
+
 def check_R_relations(ops: Mapping[str, TruncatedOp], N: int) -> RRelationReport:
     """Evaluate the four defining relations against a given operator family."""
-    checks = []
-    for name, text in _R_RELATIONS:
-        val = evaluate_poly_ops(parse(text, F2), ops, N)
-        if val.valid_domain < 0:
-            raise ValueError(f"empty valid domain for {name}; increase N")
-        checks.append(RRelationCheck(name, val.valid_domain, val.is_zero_on_domain()))
-    return RRelationReport(all(c.ok for c in checks), tuple(checks))
+    return _check(ops, N, _R_CHECKS[:4])
 
 
 def verify_R_relations(N: int = 256) -> RRelationReport:
@@ -686,21 +667,7 @@ def verify_R_relations(N: int = 256) -> RRelationReport:
     """
     if N < 64:
         raise ValueError("need N >= 64")
-    ops = build_R_truncated(N)
-    report = check_R_relations(ops, N)
-    checks = list(report.checks)
-    for name, chain, rhs in _R_IDENTITIES:
-        lhs = op_identity(N)
-        for key in chain:
-            lhs = lhs.then(ops[key])
-        want = ops[rhs[0]]
-        if rhs[-1] == "":
-            want = want + op_identity(N)
-        upto = min(lhs.valid_domain, want.valid_domain)
-        if upto < 0:
-            raise ValueError(f"empty valid domain for {name}; increase N")
-        checks.append(RRelationCheck(name, upto, lhs.agrees_with(want)))
-    return RRelationReport(all(c.ok for c in checks), tuple(checks))
+    return _check(build_R_truncated(N), N, _R_CHECKS)
 
 
 # ---- representation files ----

@@ -207,6 +207,14 @@ def test_k1_unit_rejects_non_units(k1):
     assert not verify_unit(k1, parse("x1", ZT))
 
 
+def test_unit_witness_rejects_unknown_generators(k1):
+    body = "\n".join(ln for ln in refdata.k1_unit_expr_text().splitlines()
+                     if not ln.strip().startswith("#"))
+    with pytest.raises(ValueError, match="x99") as exc:
+        verify_unit(k1, parse(body + " + x99", ZT))
+    assert not isinstance(exc.value, CertificateError)
+
+
 def test_k2_unit_search_fails_on_cusp(k2):
     assert not verify_unit(k2, parse("x25", F2))
 

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import functools
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lch import refdata, reps
 from lch.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from lch.dga import deserialize
+from lch.dga import compute_dga, deserialize, serialize
+from lch.freealg import F2
 from lch.reps import MatRepAssignment, _search
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -129,6 +135,15 @@ def test_verify_unit_bundled(capsys):
     assert code == EXIT_OK and "trivial" in out
 
 
+def test_verify_unit_rejects_unknown_generator(tmp_path, capsys):
+    el = tmp_path / "e.expr"
+    el.write_text(pathlib.Path(K1_EXPR).read_text().rstrip("\n") + " + x99\n")
+    code, out, err = run(capsys, "verify", "unit", "--dga", K1_DGA,
+                         "--element-file", str(el))
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: unknown generator(s) x99 in unit witness\n"
+
+
 def test_verify_unit_failure(tmp_path, capsys):
     el = tmp_path / "e.expr"
     el.write_text("x1\n")
@@ -151,6 +166,14 @@ def test_verify_unit_rejects_inhomogeneous_witness(tmp_path, flags):
          "--element-file", str(el)], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == EXIT_FAIL and proc.stderr == ""
     assert proc.stdout == "FAILED unit witness is not homogeneous of grading 1\n"
+
+
+def test_verify_d2_rejects_repeated_differential(tmp_path, capsys):
+    bad = tmp_path / "bad.dga"
+    bad.write_text("ring F2\ngen x1 1\nd x1 = 1\nd x1 = x1\n")
+    code, out, err = run(capsys, "verify", "d2", "--dga", str(bad))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {bad}: line 4: duplicate differential for x1\n"
 
 
 def test_verify_cert_k1(capsys):
@@ -337,3 +360,71 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# ---- fuzzed text inputs ----
+
+@functools.cache
+def _m942_table() -> str:
+    return serialize(compute_dga(refdata.m942_front(), F2))
+
+
+def _file_input(source: str, argv):
+    def build(text: str, work: pathlib.Path) -> list[str]:
+        (work / "m942.dga").write_text(_m942_table())
+        target = work / pathlib.Path(source).name
+        target.write_text(text)
+        return [a.format(input=target, m942=work / "m942.dga") for a in argv]
+    return pathlib.Path(source).read_text(), build
+
+
+# format -> (seed text, argv for a mutated copy written under a work directory)
+FUZZ_FORMATS = {
+    "k2.dga": _file_input(K2_DGA, ["verify", "d2", "--dga", "{input}"]),
+    "k1.dga": _file_input(K1_DGA, ["verify", "d2", "--dga", "{input}"]),
+    "k2_quotient.cert": _file_input(K2_QUOT, ["verify", "cert", "--dga", K2_DGA, "--cert", "{input}"]),
+    "k2_norep.cert": _file_input(K2_NOREP, ["verify", "norep", "--dga", K2_DGA, "--cert", "{input}"]),
+    "k1_unit.expr": _file_input(K1_EXPR, ["verify", "unit", "--dga", K1_DGA, "--element-file", "{input}"]),
+    "m9_42.rep": _file_input(M942_REP, ["verify", "rep", "--dga", "{m942}", "--rep", "{input}"]),
+    # "--" keeps a word that starts with "-" from reading as an option
+    "plat": (refdata.K2_WORD, lambda text, work: ["dga", "--strands", "6", "--", text]),
+}
+
+_TOKENS = ["x1", "x20", "x99", "ax5", "t", "t^-1", "-1*", "+", "-", ".", "*", "=", "->",
+           ";", ",", "(", ")", "0", "1", "7", "#", " ", "\n", "d x1 = ", "gen x1 0",
+           "mod 3", "ring ZT", "assert ", "subst ", "comb ", "rep n=3", "map x1 = ",
+           "# witness a = ", "# assume "]
+
+_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 10 ** 6), st.integers(1, 40)),
+    st.tuples(st.just("insert"), st.integers(0, 10 ** 6), st.sampled_from(_TOKENS)),
+    st.tuples(st.just("duplicate"), st.integers(0, 10 ** 6), st.none()),
+), min_size=1, max_size=3)
+
+
+def _mutate(text: str, edits) -> str:
+    for kind, at, arg in edits:
+        if kind == "duplicate":
+            lines = text.splitlines(keepends=True) or [""]
+            i = at % len(lines)
+            text = "".join(lines[:i + 1] + lines[i:])
+        else:
+            at %= len(text) + 1
+            text = text[:at] + (text[at + arg:] if kind == "delete" else arg + text[at:])
+    return text
+
+
+@pytest.mark.parametrize("fmt", sorted(FUZZ_FORMATS))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(edits=_EDITS)
+def test_mutated_inputs_exit_cleanly(fmt, edits):
+    # any input ends in a verdict or a one-line usage error, never a traceback
+    seed, argv = FUZZ_FORMATS[fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        args = argv(_mutate(seed, edits), pathlib.Path(work))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

@@ -178,6 +178,15 @@ def test_deserialize_rejects_duplicate_generator():
         deserialize("ring F2\ngen x1 0\ngen x1 1\n")
 
 
+@pytest.mark.parametrize("text,why", [
+    ("ring F2\ngen x1 1\nd x1 = 1\nd x1 = x1\n", "line 4: duplicate differential for x1"),
+    ("ring ZT\nmod 2\nmod 4\ngen x1 1\n", "line 3: duplicate mod line"),
+])
+def test_deserialize_rejects_repeated_lines(text, why):
+    with pytest.raises(ValueError, match=why):
+        deserialize(text)
+
+
 def test_deserialize_rejects_unknown_generator_in_diff():
     with pytest.raises(ValueError, match="unknown generator"):
         deserialize("ring F2\ngen x1 0\nd x1 = x2\n")

@@ -416,6 +416,37 @@ def test_report_lines_are_readable():
     assert len(lines) == 7 and all(ln.startswith("ok") for ln in lines)
 
 
+def _pinned_lines(domain: int) -> list[str]:
+    return [f"ok     1 + c(1+ab) + ac(1+ba)  on v_0..v_{domain}",
+            f"ok     (1+ba)c  on v_0..v_{domain}",
+            f"ok     1 + (1+ab)c  on v_0..v_{domain}",
+            f"ok     1 + (1+ba)ac  on v_0..v_{domain}",
+            f"ok     s o p = f + 1  on v_0..v_{domain}",
+            f"ok     p o g = f  on v_0..v_{domain + 1}",
+            f"ok     p o s = g + 1  on v_0..v_{domain}"]
+
+
+@pytest.mark.parametrize("N,domain", [(128, 62), (256, 126), (1024, 510)])
+def test_verify_R_relations_pinned_lines(N, domain):
+    # each domain is the smaller side's growth bound: v_0..v_{(N-3)//2}
+    # for words through b or s, v_0..v_{N/2-1} for p o g = f
+    assert verify_R_relations(N).lines() == _pinned_lines(domain)
+
+
+def test_wrong_f_fails_exactly_its_identities(monkeypatch):
+    real = reps_module.build_R_truncated
+
+    def wrong_f(N):
+        ops = dict(real(N))
+        ops["f"] = _op_from_map(N, lambda i: (2 * i + 1,), 2, 1)
+        return ops
+
+    monkeypatch.setattr(reps_module, "build_R_truncated", wrong_f)
+    report = verify_R_relations(256)
+    assert not report.ok
+    assert [c.name for c in report.checks if not c.ok] == ["s o p = f + 1", "p o g = f"]
+
+
 def test_truncated_op_growth_validation():
     with pytest.raises(ValueError):
         TruncatedOp(4, (0, 0, 0, 0), 0, 0)
