@@ -34,9 +34,8 @@ from .freealg import (
     parse,
     signed_derivation,
     specialize,
-    word_key,
 )
-from .plat import Event, FrontDiagram, GradingTable, maslov_grading
+from .plat import Event, FrontDiagram, maslov_grading
 
 # sign = -1 at a negative corner iff (arc, grading parity of the corner
 # generator) lands in this set; of the 16 candidate rules exactly two give

@@ -15,7 +15,7 @@ against them, which cross-checks the transcription.
 
 from __future__ import annotations
 
-from .dga import DGA, compute_dga
+from .dga import DGA
 from .freealg import F2, ZT, GradedPresentation, NcPoly, parse
 from .plat import build_front, maslov_grading, parse_plat
 

@@ -10,13 +10,16 @@ relation and its generator occurs at most once in every word of the
 relations it closes: those relations are then affine in the new image, so
 n^2 + 1 evaluations give their value at all 2^(n^2) candidates and the zeros
 are the survivors.  Other levels, and every level for n >= 4, are
-enumerated lazily, one candidate at a time.  The explicit two-dimensional
-homomorphism for maximal-tb negative torus knots is built directly from the
-labeled front.  Finally, the nontriviality witness for the three-generator
-quotient algebra is an operator action on a countable basis v_0, v_1, ...;
-since the operators roughly double basis indices, we truncate to N
-coordinates and track, per composed word, the largest index whose image is
-still exact.
+enumerated lazily, one candidate at a time.  The subtree below a level reads
+only the images of the generators that later relations mention; where one
+of them drops out of that frontier, a failed subtree is remembered by the
+frontier's images and charged again, not replayed, when they recur.  The
+explicit two-dimensional homomorphism for maximal-tb negative torus knots is
+built directly from the labeled front.  Finally, the nontriviality witness
+for the three-generator quotient algebra is an operator action on a
+countable basis v_0, v_1, ...; since the operators roughly double basis
+indices, we truncate to N coordinates and track, per composed word, the
+largest index whose image is still exact.
 
 Everything is over F2.  Search routines never claim nonexistence: a failed
 search within budget is inconclusive by design.
@@ -288,7 +291,8 @@ def _search(g: Union[DGA, RelationSet], n: int,
 
     The reason is "found", "exhausted" or "budget".  Nodes count candidate
     matrices in enumeration order, including those a solved level rules out
-    without evaluating them, and never exceed the budget.
+    without evaluating them and those of a remembered failed subtree, and
+    never exceed the budget.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
@@ -380,11 +384,34 @@ def _search(g: Union[DGA, RelationSet], n: int,
         else:
             levels.append(functools.partial(enumerate_level, i, checks))
 
+    # the levels below i read only the images of frontier[i]: the generators
+    # up to i that a relation closing after i mentions.  Where the frontier
+    # stops growing, some generator has left it, so equal images on it can
+    # recur; there a failed subtree is remembered by those images and its
+    # node count is charged again instead of replaying it
+    last_use = [-1] * len(gens)
+    for i, checks in enumerate(schedule):
+        for k in checks:
+            for w in compiled[k][1]:
+                for j in w:
+                    last_use[j] = i
+    frontier: list[Optional[tuple[int, ...]]] = []
+    width = 0
+    for i in range(len(gens)):
+        reads = tuple(j for j in range(i + 1) if last_use[j] > i)
+        frontier.append(reads if len(reads) <= width else None)
+        width = len(reads)
+    memo: list[dict[tuple[int, ...], int]] = [{} for _ in gens]
+
     # depth-first over levels; tried[i] is the next code plain enumeration
-    # would try at level i, so skipped candidates are charged as they pass
+    # would try at level i, so skipped candidates are charged as they pass;
+    # keys[i] and entered[i] are the frontier images and the node count at
+    # the entry of level i + 1
     last = len(gens) - 1
     pending = [iter(())] * len(gens)
     tried = [0] * len(gens)
+    keys: list[tuple[int, ...]] = [()] * len(gens)
+    entered = [0] * len(gens)
     nodes = 0
     i = 0
     pending[0] = iter(levels[0]())
@@ -399,12 +426,23 @@ def _search(g: Union[DGA, RelationSet], n: int,
             if i == 0:
                 return None, "exhausted", nodes
             i -= 1
+            if frontier[i] is not None:
+                memo[i][keys[i]] = nodes - entered[i]
             continue
         images[i] = cand
         if i == last:
             rho = MatRepAssignment(
                 n, {g_: decode_matrix(images[j], n) for j, g_ in enumerate(gens)})
             return rho, "found", nodes
+        if frontier[i] is not None:
+            keys[i] = tuple(images[j] for j in frontier[i])
+            charged = memo[i].get(keys[i])
+            if charged is not None:
+                nodes += charged
+                if nodes > budget:
+                    return None, "budget", budget
+                continue
+            entered[i] = nodes
         i += 1
         pending[i] = iter(levels[i]())
         tried[i] = 0
@@ -422,8 +460,16 @@ def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8)
     visited in increasing code order.  Levels that close nothing or are not
     linear in X, and all levels for n >= 4, are enumerated one candidate at
     a time, stopping as soon as a candidate passes or the budget runs out.
-    The budget counts candidates in enumeration order either way, so the
-    first hit and the budget's meaning do not depend on solving.
+    Below level i the search reads only the images of the frontier, the
+    generators up to i that a relation closing after i mentions.  Where the
+    frontier stops growing, a subtree that fails is stored under the
+    frontier's images with the number of candidates it charged; when the
+    same images recur, that count is charged again and the subtree is
+    skipped.  Each stored entry is one exhausted visit of a level, which
+    charges 2^(n^2) candidates, so a search of `nodes` candidates stores at
+    most nodes / 2^(n^2) entries.  The budget counts candidates in
+    enumeration order throughout, so the first hit, the node count and the
+    budget's meaning do not depend on solving or remembering.
     Exhausting the node budget returns None, which is inconclusive:
     nonexistence claims are the business of certificate replay, never of
     this search.

@@ -73,6 +73,14 @@ def test_dga_out_flag(tmp_path, capsys):
     assert target.read_text().startswith("ring F2")
 
 
+def test_dga_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "t.dga"
+    code, out, err = run(capsys, "dga", "--strands", "4", "2,2,2",
+                         "--out", str(target))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_dga_sweep_cap_is_usage_error(capsys):
     code, out, err = run(capsys, "dga", "--strands", "4", "1,1,1,1,1,3,1,1,2")
     assert code == EXIT_USAGE and out == ""

@@ -19,7 +19,7 @@ from lch.dga import (
     torus_dga,
     torus_front,
 )
-from lch.freealg import F2, ZT, NcPoly, parse
+from lch.freealg import F2, ZT, parse
 from lch.plat import build_front, parse_plat
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from lch import refdata
 from lch import reps as reps_module
@@ -212,6 +212,9 @@ _PINNED_SEARCHES = [
     ("T(3,-7)", lambda: torus_dga(3, 7)[1], 2, 797_583,
      "0100 0100 0010 0100 0010 0100 0010 0100 0010 0100 0010 0100 0010 0010"
      + " 0000" * 7),
+    ("T(3,-8)", lambda: torus_dga(3, 8)[1], 2, 3_025_848,
+     "0100 0100 0010 0100 0010 0100 0010 0100 0010 0100 0010 0100 0010 0100 0010 0010"
+     + " 0000" * 8),
     ("2,2,2", lambda: compute_dga(build_front(parse_plat("2,2,2", 4)), F2), 3, 278,
      "000000000 000000000 100010001 000000000 000000000"),
     ("2,2,2,2,2", lambda: compute_dga(build_front(parse_plat("2,2,2,2,2", 4)), F2), 3, 280,
@@ -269,6 +272,16 @@ def _enumeration_oracle(rs, n):
     (3, ["x1.x1 + x1 + 1", "x3.x1 + x1.x3 + x1"], 2),
     (2, ["x1.x2 + x2.x1 + 1"], 1),
     (2, ["1"], 2),
+    # a generator leaves the frontier above a failing subtree, which is then
+    # charged from memory: x2 is free, so x3's subtree repeats under each x1
+    (3, ["x1.x3 + x3.x1 + 1"], 2),
+    # the same at n = 1, where the space is exhausted right after a charge
+    (3, ["x1.x3 + x3.x1 + 1"], 1),
+    # x2 is solved with several zeros and no later relation reads it
+    (3, ["x1.x2 + x2.x1", "x3.x1 + x1.x3 + 1"], 2),
+    # x1 leaves at x3 while x3 enters, as in the T(3,-q) searches, so the
+    # subtree below x3 is keyed by the images of x2 and x3
+    (4, ["x1.x1", "x2 + x3.x1.x2", "x2.x4 + x3.x4.x2 + 1"], 2),
 ])
 def test_search_matches_brute_force_oracle(gens, rels, n):
     pres = GradedPresentation(tuple(f"x{i}" for i in range(1, gens + 1)))
@@ -285,6 +298,21 @@ def test_search_matches_brute_force_oracle(gens, rels, n):
     assert _search(rs, n, nodes) == (rho, reason, count)
     for budget in range(nodes):
         assert _search(rs, n, budget) == (None, "budget", budget)
+
+
+def test_search_charges_failed_subtrees_without_replaying(monkeypatch):
+    # x2 is free, so below it only x1 is read: the solved x3 level fails for
+    # x1 = 0 and 1 whatever x2 is, and is solved once per x1 before the hit
+    # at x1 = 2, where replaying it would take 16 + 16 + 1 visits
+    pres = GradedPresentation(("x1", "x2", "x3"))
+    rs = RelationSet(pres, (("r", parse("x1.x3 + x3.x1 + 1", F2)),))
+    reps_module._product_table(2)  # built from subset-XOR tables too
+    solves = []
+    real = reps_module._subset_xor
+    monkeypatch.setattr(reps_module, "_subset_xor",
+                        lambda base, units: solves.append(base) or real(base, units))
+    assert _search(rs, 2, 10 ** 6)[1:] == ("found", 553)
+    assert len(solves) == 3
 
 
 def test_search_rejects_nonpositive_dimension(trefoil):
