@@ -334,21 +334,26 @@ class CertReport:
 
 def _rule_set_acyclic(rules: Sequence[tuple[str, NcPoly]]) -> bool:
     imgs = {g: p.generators() for g, p in rules}
-    # DFS over the replacement graph restricted to ruled generators
+    # DFS over the replacement graph restricted to ruled generators, on an
+    # explicit stack; state 1 marks the current path, 2 the finished ones
     state: dict[str, int] = {}
-
-    def visit(g: str) -> bool:
-        state[g] = 1
-        for h in imgs.get(g, ()):  # only ruled targets can recurse
-            if h not in imgs:
-                continue
-            s = state.get(h, 0)
-            if s == 1 or (s == 0 and not visit(h)):
+    for root in imgs:
+        if root in state:
+            continue
+        state[root] = 1
+        path = [(root, iter(imgs[root]))]
+        while path:
+            g, targets = path[-1]
+            h = next((h for h in targets if h in imgs and state.get(h) != 2), None)
+            if h is None:
+                state[g] = 2
+                path.pop()
+            elif h in state:
                 return False
-        state[g] = 2
-        return True
-
-    return all(visit(g) for g in imgs if state.get(g, 0) == 0)
+            else:
+                state[h] = 1
+                path.append((h, iter(imgs[h])))
+    return True
 
 
 def _apply_rules(value: NcPoly, rules: Sequence[tuple[str, NcPoly]]) -> NcPoly:

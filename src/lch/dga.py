@@ -59,7 +59,7 @@ class DGA:
 
 
 def _sweep_generator(front: FrontDiagram, j: int, ring: str,
-                     parity: dict[str, int], sign_rule, cap: int) -> NcPoly:
+                     parity: dict[str, int], cap: int) -> NcPoly:
     """Sum of corner words of disks whose positive corner is event j."""
     ev = front.events[j]
     acc: dict[Word, Coef] = {}
@@ -82,7 +82,7 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
                 if b == u:
                     new_states.append((a, l, up, lo, sg))  # slide first
                     csg = sg
-                    if ring == ZT and ("S", parity[e.name]) in sign_rule:
+                    if ring == ZT and ("S", parity[e.name]) in SIGN_RULE:
                         csg = -sg
                     new_states.append((u, l, up + (e.name,), lo, csg))
                 elif a == u:
@@ -90,7 +90,7 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
                 elif a == l:
                     new_states.append((u, b, up, lo, sg))
                     csg = sg
-                    if ring == ZT and ("N", parity[e.name]) in sign_rule:
+                    if ring == ZT and ("N", parity[e.name]) in SIGN_RULE:
                         csg = -sg
                     new_states.append((u, l, up, lo + (e.name,), csg))
                 elif b == l:
@@ -116,8 +116,7 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
     return NcPoly(ring, acc)
 
 
-def compute_dga(front: FrontDiagram, ring: str = F2,
-                sign_rule=SIGN_RULE, max_states: int | None = None) -> DGA:
+def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
     """DGA of a simple front (all right cusps east of everything else)."""
     last_non_r = max((k for k, e in enumerate(front.events) if e.kind != "R"),
                      default=-1)
@@ -129,16 +128,16 @@ def compute_dga(front: FrontDiagram, ring: str = F2,
     if ring == ZT and table.modulus % 2:
         raise GradingError("ZT signs need a Z or even-modulus grading")
     parity = {g: v % 2 for g, v in table.grading.items()}
-    cap = max_states if max_states is not None else len(front.events) * front.n_slots
+    cap = len(front.events) * front.n_slots
 
     differential: dict[str, NcPoly] = {}
     for k, e in enumerate(front.events):
         if e.kind == "L":
             continue
-        poly = _sweep_generator(front, k, ring, parity, sign_rule, cap)
+        poly = _sweep_generator(front, k, ring, parity, cap)
         if e.kind == "R":
             if ring == ZT and e.name == front.base_cusp:
-                poly = poly + NcPoly.t_power(front.base_exp)
+                poly = poly + NcPoly.t_power(-1)
             else:
                 poly = poly + NcPoly.one(ring)
         differential[e.name] = poly

@@ -96,7 +96,7 @@ class FrontDiagram:
     """Validated event list plus the traversal data derived from it."""
 
     def __init__(self, n_slots: int, events: list[Event],
-                 base_cusp: str | None = None, base_exp: int = -1):
+                 base_cusp: str | None = None):
         self.n_slots = n_slots
         self.events = tuple(events)
         live: set[int] = set()
@@ -129,7 +129,6 @@ class FrontDiagram:
         if base_cusp is not None and base_cusp not in self.cusp_names:
             raise ValueError(f"base point cusp {base_cusp!r} is not a right cusp")
         self.base_cusp = base_cusp
-        self.base_exp = base_exp
 
     @cached_property
     def live_after(self) -> tuple[frozenset[int], ...]:
@@ -227,8 +226,7 @@ class FrontDiagram:
         return (j - 1, s, -1)
 
 
-def build_front(word: PlatWord, base_cusp: str | None = None,
-                base_exp: int = -1) -> FrontDiagram:
+def build_front(word: PlatWord, base_cusp: str | None = None) -> FrontDiagram:
     """Plat-closed front: n left cusps, the braid letters, n right cusps."""
     n = word.strand_count // 2
     events = [Event("L", (2 * i - 1, 2 * i)) for i in range(1, n + 1)]
@@ -237,7 +235,7 @@ def build_front(word: PlatWord, base_cusp: str | None = None,
     m = len(word.letters)
     for i in range(1, n + 1):
         events.append(Event("R", (2 * i - 1, 2 * i), name=f"x{m + i}"))
-    front = FrontDiagram(word.strand_count, events, base_cusp, base_exp)
+    front = FrontDiagram(word.strand_count, events, base_cusp)
     tr = front.traversal
     if tr.component_count != 1:
         raise ValueError(f"closure has {tr.component_count} components, need a knot")

@@ -1,13 +1,12 @@
 """Representations of knot DGAs and their characteristic algebras.
 
-Three families live here.  Augmentations are the one-dimensional case and
-get a dedicated backtracking search with deterministic enumeration order.
-Matrix representations over F2 are searched for and verified with matrices
-stored as tuples of row bitmasks (entry (i, j) is bit j of row i).  The
-search assigns generators in order and checks each relation once its last
-generator is assigned.  For n <= 3, a level is solved when it closes a
-relation and its generator occurs at most once in every word of the
-relations it closes: those relations are then affine in the new image, so
+Three families live here.  Matrix representations over F2 are searched for
+and verified with matrices stored as tuples of row bitmasks (entry (i, j) is
+bit j of row i); augmentations, the one-dimensional case, are every solution
+of the same search.  The search assigns generators in order and checks each
+relation once its last generator is assigned.  For n <= 3, a level is solved
+when it closes a relation and its generator occurs at most once in every
+word of the relations it closes: those relations are then affine in the new image, so
 n^2 + 1 evaluations give their value at all 2^(n^2) candidates and the zeros
 are the survivors.  Other levels, and every level for n >= 4, are
 enumerated lazily, one candidate at a time.  The subtree below a level reads
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -158,8 +158,6 @@ def verify_matrix_rep(target: Union[DGA, RelationSet], rho: MatRepAssignment) ->
     return all(evaluate_poly(r, rho.images, rho.n) == zero for r in rels)
 
 
-# ---- augmentations (the n = 1 case, collected exhaustively) ----
-
 def _compile(gens: tuple[str, ...], rels: list[NcPoly]):
     """Relations as (constant, words-over-positions), grouped by last-needed slot.
 
@@ -188,72 +186,6 @@ def _compile(gens: tuple[str, ...], rels: list[NcPoly]):
         else:
             schedule[top].append(k)
     return compiled, schedule, upfront
-
-
-def _aug_value(compiled_rel, values) -> int:
-    const, words, _ = compiled_rel
-    acc = const
-    for w in words:
-        prod = 1
-        for i in w:
-            if not values[i]:
-                prod = 0
-                break
-        acc ^= prod
-    return acc
-
-
-def find_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int]]:
-    """All algebra maps to F2 killing every differential, in lexicographic order.
-
-    With graded set, generators of nonzero degree are pinned to 0 so the
-    surviving maps are the graded augmentations.
-    """
-    gens, rels = _constraints(g)
-    compiled, schedule, upfront = _compile(gens, rels)
-    for k in upfront:
-        if _aug_value(compiled[k], ()):
-            return []
-    forced = [False] * len(gens)
-    if graded:
-        pres = g.presentation
-        forced = [pres.degree_of(name) != 0 for name in gens]
-    values = [0] * len(gens)
-    found: list[dict[str, int]] = []
-
-    def walk(i: int):
-        if i == len(gens):
-            found.append({g_: values[j] for j, g_ in enumerate(gens)})
-            return
-        for v in (0, 1):
-            if v and forced[i]:
-                break
-            values[i] = v
-            if all(_aug_value(compiled[k], values) == 0 for k in schedule[i]):
-                walk(i + 1)
-        values[i] = 0
-
-    walk(0)
-    return found
-
-
-def exhaustive_augmentations(g: DGA) -> list[dict[str, int]]:
-    """Brute-force oracle: filter all 2^n assignments.  Refuses n > 20.
-
-    Each relation is evaluated from its terms, sharing no code with the
-    compiled system that find_augmentations checks.
-    """
-    gens, rels = _constraints(g)
-    if len(gens) > 20:
-        raise ValueError(f"{len(gens)} generators is too many for brute force")
-    out = []
-    for values in itertools.product((0, 1), repeat=len(gens)):
-        eps = dict(zip(gens, values))
-        # over F2 every stored term has coefficient 1
-        if all(sum(all(eps[x] for x in word) for word in r.terms) % 2 == 0
-               for r in rels):
-            out.append(eps)
-    return out
 
 
 # ---- matrix representation search ----
@@ -285,23 +217,20 @@ def _product_table(n: int) -> tuple[tuple[int, ...], ...]:
         for x in codes)
 
 
-def _search(g: Union[DGA, RelationSet], n: int,
-            budget: int) -> tuple[Optional[MatRepAssignment], str, int]:
-    """search_matrix_rep's hit, why the search stopped, and its node count.
+def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
+    """Yield each solution's matrix codes, in search order, with the node count.
 
-    The reason is "found", "exhausted" or "budget".  Nodes count candidate
-    matrices in enumeration order, including those a solved level rules out
-    without evaluating them and those of a remembered failed subtree, and
-    never exceed the budget.
+    Returns the stop reason, "exhausted" or "budget", and the final count.
+    Nodes count candidate matrices in enumeration order, including those a
+    solved level rules out without evaluating them and those of a remembered
+    failed subtree, and never exceed the budget.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    gens, rels = _constraints(g)
     compiled, schedule, upfront = _compile(gens, rels)
     if any(compiled[k][0] for k in upfront):
-        return None, "exhausted", 0
+        return "exhausted", 0
     if not gens:
-        return MatRepAssignment(n, {}), "found", 0
+        yield (), 0
+        return "exhausted", 0
     # matrices live as their row-major codes; for n <= 3 a full product
     # table turns each word step into one lookup, and affine levels are
     # solved; a 2^(n^2) table per visit is too large beyond that
@@ -387,8 +316,8 @@ def _search(g: Union[DGA, RelationSet], n: int,
     # the levels below i read only the images of frontier[i]: the generators
     # up to i that a relation closing after i mentions.  Where the frontier
     # stops growing, some generator has left it, so equal images on it can
-    # recur; there a failed subtree is remembered by those images and its
-    # node count is charged again instead of replaying it
+    # recur; there a subtree that yielded no solution is remembered by those
+    # images and its node count is charged again instead of replaying it
     last_use = [-1] * len(gens)
     for i, checks in enumerate(schedule):
         for k in checks:
@@ -401,18 +330,20 @@ def _search(g: Union[DGA, RelationSet], n: int,
         reads = tuple(j for j in range(i + 1) if last_use[j] > i)
         frontier.append(reads if len(reads) <= width else None)
         width = len(reads)
-    memo: list[dict[tuple[int, ...], int]] = [{} for _ in gens]
+    memo: list[dict[int, int]] = [{} for _ in gens]
 
     # depth-first over levels; tried[i] is the next code plain enumeration
     # would try at level i, so skipped candidates are charged as they pass;
-    # keys[i] and entered[i] are the frontier images and the node count at
-    # the entry of level i + 1
+    # keys[i], entered[i] and hits_entered[i] are the frontier images packed
+    # nn bits apiece, the node count and the solution count at the entry of
+    # level i + 1
     last = len(gens) - 1
     pending = [iter(())] * len(gens)
     tried = [0] * len(gens)
-    keys: list[tuple[int, ...]] = [()] * len(gens)
+    keys = [0] * len(gens)
     entered = [0] * len(gens)
-    nodes = 0
+    hits_entered = [0] * len(gens)
+    nodes = hits = 0
     i = 0
     pending[0] = iter(levels[0]())
     while True:
@@ -421,31 +352,52 @@ def _search(g: Union[DGA, RelationSet], n: int,
         nodes += stop - tried[i]
         tried[i] = stop
         if nodes > budget:
-            return None, "budget", budget
+            return "budget", budget
         if cand is None:
             if i == 0:
-                return None, "exhausted", nodes
+                return "exhausted", nodes
             i -= 1
-            if frontier[i] is not None:
+            if frontier[i] is not None and hits == hits_entered[i]:
                 memo[i][keys[i]] = nodes - entered[i]
             continue
         images[i] = cand
         if i == last:
-            rho = MatRepAssignment(
-                n, {g_: decode_matrix(images[j], n) for j, g_ in enumerate(gens)})
-            return rho, "found", nodes
+            hits += 1
+            yield tuple(images), nodes
+            continue
         if frontier[i] is not None:
-            keys[i] = tuple(images[j] for j in frontier[i])
-            charged = memo[i].get(keys[i])
+            key = 0
+            for j in frontier[i]:
+                key = key << nn | images[j]
+            keys[i] = key
+            charged = memo[i].get(key)
             if charged is not None:
                 nodes += charged
                 if nodes > budget:
-                    return None, "budget", budget
+                    return "budget", budget
                 continue
             entered[i] = nodes
+            hits_entered[i] = hits
         i += 1
         pending[i] = iter(levels[i]())
         tried[i] = 0
+
+
+def _search(g: Union[DGA, RelationSet], n: int,
+            budget: int) -> tuple[Optional[MatRepAssignment], str, int]:
+    """search_matrix_rep's hit, why the search stopped, and its node count.
+
+    The reason is "found", "exhausted" or "budget"; the count is _walk's.
+    """
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    gens, rels = _constraints(g)
+    try:
+        codes, nodes = next(_walk(gens, rels, n, budget))
+    except StopIteration as stop:
+        return (None, *stop.value)
+    rho = MatRepAssignment(n, {g_: decode_matrix(c, n) for g_, c in zip(gens, codes)})
+    return rho, "found", nodes
 
 
 def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8) -> Optional[MatRepAssignment]:
@@ -475,6 +427,46 @@ def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8)
     this search.
     """
     return _search(g, n, budget)[0]
+
+
+# ---- augmentations: the search at n = 1, and a brute-force oracle ----
+
+def find_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int]]:
+    """All algebra maps to F2 killing every differential, in lexicographic order.
+
+    These are the one-dimensional representations: every solution of the
+    matrix search's engine at n = 1, with no node budget.  With graded set,
+    generators of nonzero degree are pinned to 0 before the engine runs:
+    they are dropped, with every word containing one, and come back as 0.
+    """
+    gens, rels = _constraints(g)
+    free = gens
+    if graded:
+        free = tuple(x for x in gens if g.presentation.degree_of(x) == 0)
+        kept = set(free)
+        rels = [NcPoly(F2, {w: c for w, c in r.terms.items() if kept.issuperset(w)})
+                for r in rels]
+    solutions = (dict(zip(free, codes)) for codes, _ in _walk(free, rels, 1, math.inf))
+    return [{x: eps.get(x, 0) for x in gens} for eps in solutions]
+
+
+def exhaustive_augmentations(g: DGA) -> list[dict[str, int]]:
+    """Brute-force oracle: filter all 2^n assignments.  Refuses n > 20.
+
+    Each relation is evaluated from its terms, sharing no code with the
+    compiled system that find_augmentations checks.
+    """
+    gens, rels = _constraints(g)
+    if len(gens) > 20:
+        raise ValueError(f"{len(gens)} generators is too many for brute force")
+    out = []
+    for values in itertools.product((0, 1), repeat=len(gens)):
+        eps = dict(zip(gens, values))
+        # over F2 every stored term has coefficient 1
+        if all(sum(all(eps[x] for x in word) for word in r.terms) % 2 == 0
+               for r in rels):
+            out.append(eps)
+    return out
 
 
 # ---- the explicit torus-knot homomorphism ----

@@ -204,6 +204,27 @@ def test_verify_cert_failure(tmp_path, capsys):
     assert code == EXIT_FAIL and "FAIL" in out
 
 
+@pytest.mark.parametrize("cyclic,failure", [
+    (False, "rule 'x1149' not backed by a registered relation"),
+    (True, "substitution rules are cyclic"),
+], ids=["chain", "cycle"])
+def test_verify_cert_long_rule_chain(tmp_path, capsys, cyclic, failure):
+    # x1 -> x2; ...; x1149 -> x1150, or back to x1, listed last rule first:
+    # deeper than the default recursion limit, so the acyclicity check must
+    # not recurse per rule, and each rule after the first reaches a finished one
+    n = 1150
+    dga_path = tmp_path / "chain.dga"
+    dga_path.write_text("ring F2\n" + "".join(f"gen x{k} 0\n" for k in range(1, n + 1)))
+    last = 1 if cyclic else n
+    rules = [f"x{n - 1} -> x{last}"] + [f"x{k} -> x{k + 1}" for k in range(n - 2, 0, -1)]
+    cert = tmp_path / "chain.cert"
+    cert.write_text(f"subst s = d_x1 with {'; '.join(rules)}\n")
+    code, out, err = run(capsys, "verify", "cert", "--dga", str(dga_path),
+                         "--cert", str(cert))
+    assert code == EXIT_FAIL and err == ""
+    assert out == f"steps registered: 0\ncertificate: FAIL at step 0: {failure}\n"
+
+
 def test_verify_norep_bundled(capsys):
     code, out, _ = run(capsys, "verify", "norep", "--dga", K2_DGA,
                        "--cert", K2_NOREP)
@@ -259,6 +280,19 @@ def test_search_aug_trefoil(tmp_path, capsys):
     code, out_graded, _ = run(capsys, "search", "aug", "--graded",
                               "--dga", str(dga_path))
     assert out_graded.endswith("5 augmentation(s)\n")
+
+
+def test_search_aug_long_chain(tmp_path, capsys):
+    # d x{k+1} = x{k} + 1 forces x1..x999 to 1 and leaves x1000 free; one
+    # search level per generator, deeper than the default recursion limit
+    n = 1000
+    dga_path = tmp_path / "chain.dga"
+    dga_path.write_text("ring F2\n" + "".join(f"gen x{k} 0\n" for k in range(1, n + 1))
+                        + "".join(f"d x{k + 1} = x{k} + 1\n" for k in range(1, n)))
+    code, out, err = run(capsys, "search", "aug", "--dga", str(dga_path))
+    forced = " ".join(f"x{k}=1" for k in range(1, n))
+    assert code == EXIT_OK and err == ""
+    assert out == f"{forced} x{n}=0\n{forced} x{n}=1\n2 augmentation(s)\n"
 
 
 def test_search_matrep_trefoil(tmp_path, capsys):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings
 
 from lch import refdata
 from lch.dga import (
@@ -21,6 +21,7 @@ from lch.dga import (
 )
 from lch.freealg import F2, ZT, parse
 from lch.plat import build_front, parse_plat
+from plat_strategies import front_or_skip, small_plats
 
 
 @pytest.fixture(scope="module")
@@ -204,25 +205,10 @@ def test_deserialize_skips_comments_and_blanks():
 
 # ---- random plats: the structural laws ----
 
-# letters are drawn below the strand count rather than filtered, which
-# rejected most draws and tripped Hypothesis's filter_too_much health check
-small_plats = st.sampled_from([2, 4, 6]).flatmap(
-    lambda strands: st.tuples(st.just(strands),
-                              st.lists(st.integers(1, strands - 1), max_size=8)))
-
-
-def _front_or_skip(sw):
-    strands, letters = sw
-    try:
-        return build_front(parse_plat(",".join(map(str, letters)), strands))
-    except ValueError:
-        assume(False)
-
-
 @settings(max_examples=100, deadline=None)
 @given(small_plats)
 def test_random_plat_d_squared_zero(sw):
-    front = _front_or_skip(sw)
+    front = front_or_skip(sw)
     g = compute_dga(front, ZT)
     assert check_d_squared(g) is None
 
@@ -230,7 +216,7 @@ def test_random_plat_d_squared_zero(sw):
 @settings(max_examples=100, deadline=None)
 @given(small_plats)
 def test_random_plat_homogeneous_degree_minus_one(sw):
-    front = _front_or_skip(sw)
+    front = front_or_skip(sw)
     g = compute_dga(front, ZT)
     assert check_homogeneous(g) is None
 
@@ -238,7 +224,7 @@ def test_random_plat_homogeneous_degree_minus_one(sw):
 @settings(max_examples=60, deadline=None)
 @given(small_plats)
 def test_random_plat_specialize_commutes(sw):
-    front = _front_or_skip(sw)
+    front = front_or_skip(sw)
     direct = compute_dga(front, F2)
     via_zt = specialize_dga(compute_dga(front, ZT))
     assert all(direct.d(x) == via_zt.d(x) for x in direct.presentation.generators)
@@ -247,7 +233,7 @@ def test_random_plat_specialize_commutes(sw):
 @settings(max_examples=40, deadline=None)
 @given(small_plats)
 def test_random_plat_serialization_round_trips(sw):
-    front = _front_or_skip(sw)
+    front = front_or_skip(sw)
     g = compute_dga(front, ZT)
     again = deserialize(serialize(g))
     assert serialize(again) == serialize(g)

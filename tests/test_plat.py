@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 from lch import refdata
 from lch.plat import (
@@ -13,6 +13,7 @@ from lch.plat import (
     maslov_grading,
     parse_plat,
 )
+from plat_strategies import small_plats
 
 
 @pytest.fixture(scope="module")
@@ -160,13 +161,6 @@ def test_grading_rejects_links():
 
 
 # ---- random plats ----
-
-# letters are drawn below the strand count rather than filtered, which
-# rejected most draws and tripped Hypothesis's filter_too_much health check
-small_plats = st.sampled_from([2, 4, 6]).flatmap(
-    lambda strands: st.tuples(st.just(strands),
-                              st.lists(st.integers(1, strands - 1), max_size=8)))
-
 
 @settings(max_examples=150, deadline=None)
 @given(small_plats)

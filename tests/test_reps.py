@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lch import refdata
 from lch import reps as reps_module
@@ -37,6 +37,7 @@ from lch.reps import (
     _op_from_map,
     _search,
 )
+from plat_strategies import front_or_skip, small_plats
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,19 @@ def test_unknot_augmentations():
 def test_m942_augmentations_match_oracle():
     g = compute_dga(refdata.m942_front(), F2)
     assert find_augmentations(g) == exhaustive_augmentations(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_plats)
+def test_random_plat_augmentations_match_oracle(sw):
+    g = compute_dga(front_or_skip(sw), F2)
+    oracle = exhaustive_augmentations(g)
+    assert find_augmentations(g) == oracle
+    # graded augmentations are the maps that vanish off degree 0
+    pres = g.presentation
+    graded = [eps for eps in oracle
+              if all(pres.degree_of(x) == 0 for x, v in eps.items() if v)]
+    assert find_augmentations(g, graded=True) == graded
 
 
 def test_exhaustive_oracle_refuses_large_inputs(k2):
