@@ -2,9 +2,10 @@
 """Regenerate the bundled data, certificate, and expression files.
 
 Everything written here is reproducible from the reference tables and the
-certificate builders in lch.refdata; the test suite asserts that the files
-on disk match these builders byte for byte, so rerun this script after
-touching either side.
+certificate builders in lch.refdata.  `--check` writes nothing: it compares
+the files on disk with these builders byte for byte and exits 1 when any is
+stale.  The tier-1 suite runs that check (tests/test_cli.py), so rerun this
+script after touching either side.
 """
 
 from __future__ import annotations

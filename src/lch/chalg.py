@@ -17,9 +17,11 @@ plus two assertion forms (`assert-unit`, `assert`) that check the derived
 values.  Dependency sets are tracked per relation so that adjoin_and_derive
 can enforce its precondition (see the Lemma encoded there).
 
-Replay is deterministic: substitution rule sets must be acyclic (checked),
-and rewriting iterates simultaneous substitution to its fixpoint, which the
-acyclicity makes finite and strategy-independent.
+Replay is deterministic: substitution rule sets must be acyclic (checked).
+Each rule's image is resolved until no ruled generator is left in it, and
+the source relation is substituted once.  That is the fixpoint of repeated
+simultaneous substitution, which the acyclicity makes finite and
+strategy-independent.
 """
 from __future__ import annotations
 
@@ -332,39 +334,35 @@ class CertReport:
         return out
 
 
-def _rule_set_acyclic(rules: Sequence[tuple[str, NcPoly]]) -> bool:
-    imgs = {g: p.generators() for g, p in rules}
-    # DFS over the replacement graph restricted to ruled generators, on an
-    # explicit stack; state 1 marks the current path, 2 the finished ones
-    state: dict[str, int] = {}
-    for root in imgs:
-        if root in state:
+def _resolve_rules(rules: Sequence[tuple[str, NcPoly]]) -> Optional[dict[str, NcPoly]]:
+    """Each ruled generator's image with no ruled generator left in it, found
+    depth first on an explicit stack; None when the rules are cyclic."""
+    rule_map = dict(rules)
+    done: dict[str, NcPoly] = {}
+    on_path: set[str] = set()
+    for root in rule_map:
+        if root in done:
             continue
-        state[root] = 1
-        path = [(root, iter(imgs[root]))]
+        on_path.add(root)
+        path = [(root, iter(rule_map[root].generators()))]
         while path:
             g, targets = path[-1]
-            h = next((h for h in targets if h in imgs and state.get(h) != 2), None)
+            h = next((h for h in targets if h in rule_map and h not in done), None)
             if h is None:
-                state[g] = 2
+                done[g] = _substitute_resolved(rule_map[g], done)
+                on_path.discard(g)
                 path.pop()
-            elif h in state:
-                return False
+            elif h in on_path:
+                return None
             else:
-                state[h] = 1
-                path.append((h, iter(imgs[h])))
-    return True
+                on_path.add(h)
+                path.append((h, iter(rule_map[h].generators())))
+    return done
 
 
-def _apply_rules(value: NcPoly, rules: Sequence[tuple[str, NcPoly]]) -> NcPoly:
-    rule_map = dict(rules)
-    for _ in range(len(rules) + 2):
-        gens = value.generators()
-        if not any(g in rule_map for g in gens):
-            return value
-        sigma = {g: rule_map.get(g, NcPoly.gen(g, value.ring)) for g in gens}
-        value = substitute(value, sigma)
-    raise CertificateError("substitution did not terminate (cyclic rules?)")
+def _substitute_resolved(value: NcPoly, done: Mapping[str, NcPoly]) -> NcPoly:
+    return substitute(value, {g: done[g] if g in done else NcPoly.gen(g, value.ring)
+                              for g in value.generators()})
 
 
 def _backing_relation(
@@ -426,7 +424,8 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
                 return fail(i, f"unknown relation {step.source!r}")
             if len({g for g, _ in step.rules}) != len(step.rules):
                 return fail(i, "duplicate generator in rule set")
-            if not _rule_set_acyclic(step.rules):
+            resolved = _resolve_rules(step.rules)
+            if resolved is None:
                 return fail(i, "substitution rules are cyclic")
             dep = deps[step.source]
             bad = None
@@ -438,7 +437,7 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
                 dep |= deps[backing]
             if bad is not None:
                 return fail(i, f"rule {bad!r} not backed by a registered relation")
-            value = _apply_rules(table[step.source], step.rules)
+            value = _substitute_resolved(table[step.source], resolved)
         elif isinstance(step, AssertUnitStep):
             if step.name not in table:
                 return fail(i, f"unknown relation {step.name!r}")

@@ -157,12 +157,12 @@ def check_d_squared(dga: DGA) -> Optional[tuple[str, NcPoly]]:
     return None
 
 
-def check_homogeneous(dga: DGA, degree: int = -1) -> Optional[tuple[str, Word]]:
-    """None if every differential is homogeneous of the given degree."""
+def check_homogeneous(dga: DGA) -> Optional[tuple[str, Word]]:
+    """None if every differential is homogeneous of degree -1."""
     pres = dga.presentation
     m = pres.modulus
     for g in pres.generators:
-        want = pres.degree_of(g) + degree
+        want = pres.degree_of(g) - 1
         if m:
             want %= m
         for w in dga.differential[g].terms:
@@ -197,6 +197,15 @@ def serialize(dga: DGA) -> str:
     return "\n".join(lines) + "\n"
 
 
+# field count of each directive (`d x1 = p` splits in three) and its form
+_DIRECTIVES = {
+    "ring": (2, "ring <F2|ZT>"),
+    "mod": (2, "mod <modulus>"),
+    "gen": (3, "gen <name> <degree>"),
+    "d": (3, "d <name> = <poly>"),
+}
+
+
 def deserialize(text: str) -> DGA:
     ring = None
     modulus = 0
@@ -209,16 +218,22 @@ def deserialize(text: str) -> DGA:
         if not line:
             continue
         parts = line.split(None, 2)
+        head = parts[0]
         try:
-            if parts[0] == "ring":
+            if head not in _DIRECTIVES:
+                raise ValueError(f"unknown directive {head!r}")
+            arity, form = _DIRECTIVES[head]
+            if len(parts) != arity:
+                raise ValueError(f"expected '{form}', got {line!r}")
+            if head != "ring" and ring is None:
+                raise ValueError(f"{head} before ring")
+            if head == "ring":
                 if ring is not None:
                     raise ValueError("duplicate ring line")
                 ring = parts[1]
                 if ring not in (F2, ZT):
                     raise ValueError(f"unknown ring {ring!r}")
-            elif parts[0] == "mod":
-                if ring is None:
-                    raise ValueError("mod before ring")
+            elif head == "mod":
                 if seen_mod:
                     raise ValueError("duplicate mod line")
                 seen_mod = True
@@ -227,17 +242,13 @@ def deserialize(text: str) -> DGA:
                     raise ValueError(f"negative modulus {modulus}")
                 if ring == ZT and modulus % 2:
                     raise ValueError(f"ring ZT needs an even modulus, got {modulus}")
-            elif parts[0] == "gen":
-                if ring is None:
-                    raise ValueError("gen before ring")
+            elif head == "gen":
                 name, g = parts[1], int(parts[2])
                 if name in grading:
                     raise ValueError(f"duplicate generator {name}")
                 gens.append(name)
                 grading[name] = g
-            elif parts[0] == "d":
-                if ring is None:
-                    raise ValueError("d before ring")
+            else:
                 name, rest = parts[1], parts[2]
                 if not rest.startswith("="):
                     raise ValueError("expected '=' after generator name")
@@ -250,9 +261,7 @@ def deserialize(text: str) -> DGA:
                     if u not in grading:
                         raise ValueError(f"unknown generator {u} in d {name}")
                 diff[name] = poly
-            else:
-                raise ValueError(f"unknown directive {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
     if ring is None:
         raise ValueError("missing ring line")

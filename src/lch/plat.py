@@ -11,7 +11,9 @@ Generators are named x1..xm for the crossings in word order, continuing
 with the right cusps top to bottom.
 
 Orientation comes from walking the knot starting east along the first
-segment of the topmost slot.  A crossing counts +1 toward the writhe when
+segment of the topmost slot.  That walk, `FrontDiagram.traversal`, goes on
+to every other component and refuses a closure with more than one, so
+invariants and gradings are only ever computed for knots.  A crossing counts +1 toward the writhe when
 its two strands point the same way (both east or both west), -1 otherwise.
 A cusp is a down cusp when the walk enters it along the upper branch.
 Then tb = writhe - #(right cusps) and r = (down - up)/2.
@@ -76,8 +78,6 @@ def parse_plat(text: str, strand_count: int) -> PlatWord:
 
 @dataclass(frozen=True)
 class Traversal:
-    directions: dict[Segment, int]  # +1 east, -1 west
-    component_count: int
     crossing_signs: dict[str, int]
     down_cusps: int
     up_cusps: int
@@ -87,7 +87,6 @@ class Traversal:
 
 @dataclass(frozen=True)
 class GradingTable:
-    potential: dict[Segment, int]
     grading: dict[str, int]
     modulus: int  # 0 means Z-graded
 
@@ -100,6 +99,8 @@ class FrontDiagram:
         self.n_slots = n_slots
         self.events = tuple(events)
         live: set[int] = set()
+        # live_after[j] = live slots, top to bottom, between events j-1 and j
+        live_after = [()]
         for ev in self.events:
             c, d = ev.slots
             if d > n_slots:
@@ -116,8 +117,10 @@ class FrontDiagram:
                     raise ValueError(f"{ev} touches dead slots")
                 if ev.kind == "R":
                     live -= {c, d}
+            live_after.append(tuple(sorted(live)))
         if live:
             raise ValueError(f"slots {sorted(live)} never close")
+        self.live_after: tuple[tuple[int, ...], ...] = tuple(live_after)
         self.crossing_names = tuple(ev.name for ev in self.events if ev.kind == "X")
         self.cusp_names = tuple(ev.name for ev in self.events if ev.kind == "R")
         names = self.crossing_names + self.cusp_names
@@ -131,81 +134,49 @@ class FrontDiagram:
         self.base_cusp = base_cusp
 
     @cached_property
-    def live_after(self) -> tuple[frozenset[int], ...]:
-        """live_after[j] = live slots between event j-1 and event j."""
-        out = [frozenset()]
-        live: set[int] = set()
-        for ev in self.events:
-            if ev.kind == "L":
-                live |= set(ev.slots)
-            elif ev.kind == "R":
-                live -= set(ev.slots)
-            out.append(frozenset(live))
-        return tuple(out)
-
-    def segments(self) -> list[Segment]:
-        return [(j, s) for j in range(len(self.events) + 1)
-                for s in sorted(self.live_after[j])]
-
-    def _start_dart(self) -> tuple[int, int, int]:
-        for j, live in enumerate(self.live_after):
-            if live:
-                return (j, min(live), 1)
-        raise ValueError("empty diagram")
-
-    @cached_property
     def traversal(self) -> Traversal:
-        directions: dict[Segment, int] = {}
+        """Walk every component east from its first unvisited segment.
+
+        Segments are taken left to right and top to bottom, so the first walk
+        starts on the topmost slot's first segment.  Raises unless the closure
+        is a knot.
+        """
+        heading: dict[Segment, int] = {}  # +1 east, -1 west
         potential: dict[Segment, int] = {}
-        down = up = 0
-        dart = self._start_dart()
-        start = dart
-        pot = 0
-        drift = 0
-        while True:
-            j, s, di = dart
-            seg = (j, s)
-            if seg in directions:
-                if dart != start:
-                    raise ValueError(f"traversal self-collision at {seg}")
-                drift = pot
-                break
-            directions[seg] = di
-            potential[seg] = pot
-            dart = self._step(dart)
-            # a turn is a cusp; turning onto the lower branch is a down cusp
-            if dart[2] != di:
-                if dart[1] > s:
-                    down += 1
-                    pot -= 1
-                else:
-                    up += 1
-                    pot += 1
-        all_segments = self.segments()
-        visited = len(directions)
-        if visited == len(all_segments):
-            components = 1
-        else:
-            # count remaining loops without orienting them
-            components = 1
-            left = set(all_segments) - set(directions)
-            while left:
+        down = up = components = drift = 0
+        for col, live in enumerate(self.live_after):
+            for slot in live:
+                if (col, slot) in heading:
+                    continue
                 components += 1
-                seed = min(left)
-                probe = (seed[0], seed[1], 1)
+                start = dart = (col, slot, 1)
+                pot = 0
                 while True:
-                    left.discard((probe[0], probe[1]))
-                    probe = self._step(probe)
-                    if (probe[0], probe[1]) == seed:
+                    j, s, di = dart
+                    if (j, s) in heading:
+                        if dart != start:
+                            raise ValueError(f"traversal self-collision at {(j, s)}")
                         break
+                    heading[(j, s)] = di
+                    potential[(j, s)] = pot
+                    dart = self._step(dart)
+                    # a turn is a cusp; turning onto the lower branch is a down cusp
+                    if dart[2] != di:
+                        if dart[1] > s:
+                            down += 1
+                            pot -= 1
+                        else:
+                            up += 1
+                            pot += 1
+                drift = pot
+        if components != 1:
+            raise ValueError(f"closure has {components} components, need a knot")
         signs: dict[str, int] = {}
         for j, ev in enumerate(self.events):
-            if ev.kind != "X":
-                continue
-            c, d = ev.slots
-            if (j, c) in directions and (j, d) in directions:
-                signs[ev.name] = 1 if directions[(j, c)] == directions[(j, d)] else -1
-        return Traversal(directions, components, signs, down, up, potential, drift)
+            if ev.kind == "X":
+                c, d = ev.slots
+                signs[ev.name] = 1 if heading[(j, c)] == heading[(j, d)] else -1
+        return Traversal(signs, down, up, potential, drift)
 
     def _step(self, dart: tuple[int, int, int]) -> tuple[int, int, int]:
         j, s, di = dart
@@ -236,16 +207,12 @@ def build_front(word: PlatWord, base_cusp: str | None = None) -> FrontDiagram:
     for i in range(1, n + 1):
         events.append(Event("R", (2 * i - 1, 2 * i), name=f"x{m + i}"))
     front = FrontDiagram(word.strand_count, events, base_cusp)
-    tr = front.traversal
-    if tr.component_count != 1:
-        raise ValueError(f"closure has {tr.component_count} components, need a knot")
+    front.traversal  # raises unless the closure is a knot
     return front
 
 
 def classical_invariants(front: FrontDiagram) -> tuple[int, int]:
     tr = front.traversal
-    if tr.component_count != 1:
-        raise ValueError(f"closure has {tr.component_count} components, need a knot")
     writhe = sum(tr.crossing_signs.values())
     tb = writhe - len(front.cusp_names)
     r2 = tr.down_cusps - tr.up_cusps
@@ -256,8 +223,6 @@ def classical_invariants(front: FrontDiagram) -> tuple[int, int]:
 
 def maslov_grading(front: FrontDiagram) -> GradingTable:
     tr = front.traversal
-    if tr.component_count != 1:
-        raise ValueError("grading needs a single-component front")
     modulus = abs(tr.drift)
     grading: dict[str, int] = {}
     for j, ev in enumerate(front.events):
@@ -267,4 +232,4 @@ def maslov_grading(front: FrontDiagram) -> GradingTable:
             grading[ev.name] = g % modulus if modulus else g
         elif ev.kind == "R":
             grading[ev.name] = 1 % modulus if modulus else 1
-    return GradingTable(dict(tr.potential), grading, modulus)
+    return GradingTable(grading, modulus)

@@ -137,6 +137,21 @@ def test_verify_d2_rejects_bad_modulus(tmp_path, capsys, head, why):
     assert err.count("\n") == 1 and why in err
 
 
+@pytest.mark.parametrize("text,form", [
+    ("ring", "ring <F2|ZT>"),
+    ("ring F2\nmod", "mod <modulus>"),
+    ("ring F2\ngen x1", "gen <name> <degree>"),
+    ("ring F2\ngen x1 1\nd x1", "d <name> = <poly>"),
+], ids=["ring", "mod", "gen", "d"])
+def test_verify_d2_names_the_form_of_a_truncated_line(tmp_path, capsys, text, form):
+    bad = tmp_path / "bad.dga"
+    bad.write_text(text + "\n")
+    lines = text.splitlines()
+    code, out, err = run(capsys, "verify", "d2", "--dga", str(bad))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {bad}: line {len(lines)}: expected '{form}', got {lines[-1]!r}\n"
+
+
 def test_verify_unit_bundled(capsys):
     code, out, _ = run(capsys, "verify", "unit", "--dga", K1_DGA,
                        "--element-file", K1_EXPR)
@@ -402,6 +417,16 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_bundled_artifacts_match_their_builders():
+    # the byte-identity pin on data/ and certs/: --check writes nothing and
+    # exits 1 naming each file that differs from what refdata builds
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "build_bundled_data.py"), "--check"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "STALE" not in proc.stdout, proc.stdout
+    assert proc.stdout.count("ok ") == 6 and proc.stderr == ""
 
 
 # ---- fuzzed text inputs ----

@@ -21,7 +21,7 @@ from lch.dga import (
 )
 from lch.freealg import F2, ZT, parse
 from lch.plat import build_front, parse_plat
-from plat_strategies import front_or_skip, small_plats
+from plat_strategies import front_of, knot_plats
 
 
 @pytest.fixture(scope="module")
@@ -206,34 +206,34 @@ def test_deserialize_skips_comments_and_blanks():
 # ---- random plats: the structural laws ----
 
 @settings(max_examples=100, deadline=None)
-@given(small_plats)
+@given(knot_plats)
 def test_random_plat_d_squared_zero(sw):
-    front = front_or_skip(sw)
+    front = front_of(sw)
     g = compute_dga(front, ZT)
     assert check_d_squared(g) is None
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_plats)
+@given(knot_plats)
 def test_random_plat_homogeneous_degree_minus_one(sw):
-    front = front_or_skip(sw)
+    front = front_of(sw)
     g = compute_dga(front, ZT)
     assert check_homogeneous(g) is None
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_plats)
+@given(knot_plats)
 def test_random_plat_specialize_commutes(sw):
-    front = front_or_skip(sw)
+    front = front_of(sw)
     direct = compute_dga(front, F2)
     via_zt = specialize_dga(compute_dga(front, ZT))
     assert all(direct.d(x) == via_zt.d(x) for x in direct.presentation.generators)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_plats)
+@given(knot_plats)
 def test_random_plat_serialization_round_trips(sw):
-    front = front_or_skip(sw)
+    front = front_of(sw)
     g = compute_dga(front, ZT)
     again = deserialize(serialize(g))
     assert serialize(again) == serialize(g)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from lch import refdata
 from lch.plat import (
@@ -13,7 +16,15 @@ from lch.plat import (
     maslov_grading,
     parse_plat,
 )
-from plat_strategies import small_plats
+from plat_strategies import (
+    braid_permutation,
+    closure_is_knot,
+    front_of,
+    knot_completions,
+    knot_plats,
+    knot_word,
+    small_plats,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,13 +175,41 @@ def test_grading_rejects_links():
 
 @settings(max_examples=150, deadline=None)
 @given(small_plats)
-def test_random_plat_invariants_consistent(sw):
+def test_build_front_accepts_exactly_the_knot_closures(sw):
     strands, letters = sw
-    word = parse_plat(",".join(map(str, letters)), strands)
     try:
-        front = build_front(word)
-    except ValueError:
-        assume(False)
+        front_of(sw)
+    except ValueError as exc:
+        assert re.fullmatch(r"closure has \d+ components, need a knot", str(exc))
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == closure_is_knot(braid_permutation(strands, letters))
+
+
+@pytest.mark.parametrize("strands,max_length", [(2, 8), (4, 6), (6, 4)])
+def test_knot_words_are_the_words_build_front_accepts(strands, max_length):
+    # knot_plats decodes indices below knot_completions; short words are
+    # few enough to list every one and build its front
+    start = tuple(range(strands))
+    for length in range(max_length + 1):
+        accepted = []
+        for word in itertools.product(range(1, strands), repeat=length):
+            try:
+                front_of((strands, word))
+            except ValueError:
+                continue
+            accepted.append(list(word))
+        decoded = [knot_word(strands, length, i)[1]
+                   for i in range(knot_completions(start, length))]
+        assert decoded == accepted
+
+
+@settings(max_examples=150, deadline=None)
+@given(knot_plats)
+def test_random_plat_invariants_consistent(sw):
+    _, letters = sw
+    front = front_of(sw)
     tb, r = classical_invariants(front)
     table = maslov_grading(front)
     # cusp degrees are 1 mod the grading modulus, and tb + 1 counts crossings

@@ -37,7 +37,7 @@ from lch.reps import (
     _op_from_map,
     _search,
 )
-from plat_strategies import front_or_skip, small_plats
+from plat_strategies import front_of, knot_plats
 
 
 @pytest.fixture(scope="module")
@@ -136,9 +136,9 @@ def test_m942_augmentations_match_oracle():
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_plats)
+@given(knot_plats)
 def test_random_plat_augmentations_match_oracle(sw):
-    g = compute_dga(front_or_skip(sw), F2)
+    g = compute_dga(front_of(sw), F2)
     oracle = exhaustive_augmentations(g)
     assert find_augmentations(g) == oracle
     # graded augmentations are the maps that vanish off degree 0
