@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled data, certificate, and expression files.
+"""Regenerate the bundled files that are computed from lch.refdata.
 
-Everything written here is reproducible from the reference tables and the
-certificate builders in lch.refdata.  `--check` writes nothing: it compares
-the files on disk with these builders byte for byte and exits 1 when any is
-stale.  The tier-1 suite runs that check (tests/test_cli.py), so rerun this
-script after touching either side.
+These are the two reference tables, the k1 unit expression and the k1
+triviality certificate.  The k2 certificates are not built here: the files
+in certs/ are their hand-written source, pinned by digest in the tier-1
+suite.  `--check` writes nothing: it compares the files on disk with these
+builders byte for byte and exits 1 when any is stale.  The tier-1 suite
+runs that check (tests/test_cli.py), so rerun this script after touching
+either side.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ def targets(root: pathlib.Path) -> dict[pathlib.Path, str]:
         root / "data" / "k1_appendixA.dga": serialize(refdata.k1_reference_dga()),
         root / "data" / "k2_appendixB.dga": serialize(refdata.k2_reference_dga()),
         root / "certs" / "k1_trivial.cert": refdata.k1_trivial_cert_text(),
-        root / "certs" / "k2_quotient.cert": refdata.k2_quotient_cert_text(),
-        root / "certs" / "k2_norep.cert": refdata.k2_norep_cert_text(),
         root / "certs" / "k1_unit.expr": refdata.k1_unit_expr_text(),
     }
 

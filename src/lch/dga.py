@@ -10,9 +10,8 @@ on both arcs, so this interval sweep enumerates all of them.
 
 The corner word is read counterclockwise from the positive corner: upper
 arc east to west, then lower arc west to east.  Over Z[t,t^-1] a negative
-corner flips the sign according to SIGN_RULE below, keyed by which arc
-the corner sits on (S = upper arc, N = lower arc) and the parity of the
-corner generator's grading.  The rule is pinned by requiring d^2 = 0 over
+corner flips the sign exactly when it sits on the upper arc at a crossing
+of even grading parity.  The rule is pinned by requiring d^2 = 0 over
 Z[t,t^-1] on the bundled fronts and on random plats; the remaining freedom
 is a diagonal change of variables and does not affect any result.
 """
@@ -20,7 +19,7 @@ is a diagonal change of variables and does not affect any result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .freealg import (
@@ -37,19 +36,11 @@ from .freealg import (
 )
 from .plat import Event, FrontDiagram, maslov_grading
 
-# sign = -1 at a negative corner iff (arc, grading parity of the corner
-# generator) lands in this set; of the 16 candidate rules exactly two give
-# d^2 = 0 over Z[t,t^-1] (this one and its pointwise negation, which differ
-# by a diagonal change), and this one reproduces the bundled 23-generator
-# data up to diagonal equivalence
-SIGN_RULE: frozenset[tuple[str, int]] = frozenset({("S", 0)})
-
 
 @dataclass
 class DGA:
     presentation: GradedPresentation
     differential: dict[str, NcPoly]
-    source: Optional[FrontDiagram] = field(default=None, compare=False)
 
     def d(self, name: str) -> NcPoly:
         return self.differential[name]
@@ -81,18 +72,18 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
                     continue  # the disk would pinch shut; not admissible
                 if b == u:
                     new_states.append((a, l, up, lo, sg))  # slide first
-                    csg = sg
-                    if ring == ZT and ("S", parity[e.name]) in SIGN_RULE:
-                        csg = -sg
+                    # of the 16 sign rules keyed by (arc, parity) exactly
+                    # two give d^2 = 0 over Z[t,t^-1]: this one (upper arc,
+                    # even parity) and its pointwise negation, which differ
+                    # by a diagonal change; this one reproduces the bundled
+                    # 23-generator data up to diagonal equivalence
+                    csg = -sg if ring == ZT and parity[e.name] == 0 else sg
                     new_states.append((u, l, up + (e.name,), lo, csg))
                 elif a == u:
                     new_states.append((b, l, up, lo, sg))
                 elif a == l:
                     new_states.append((u, b, up, lo, sg))
-                    csg = sg
-                    if ring == ZT and ("N", parity[e.name]) in SIGN_RULE:
-                        csg = -sg
-                    new_states.append((u, l, up, lo + (e.name,), csg))
+                    new_states.append((u, l, up, lo + (e.name,), sg))
                 elif b == l:
                     new_states.append((u, a, up, lo, sg))
                 else:
@@ -144,7 +135,7 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
 
     pres = GradedPresentation(front.generator_names, dict(table.grading),
                               ring, table.modulus)
-    return DGA(pres, differential, source=front)
+    return DGA(pres, differential)
 
 
 def check_d_squared(dga: DGA) -> Optional[tuple[str, NcPoly]]:
@@ -178,7 +169,7 @@ def specialize_dga(dga: DGA) -> DGA:
                                   dict(pres.grading) if pres.grading else None,
                                   F2, pres.modulus)
     diff = {g: specialize(p) for g, p in dga.differential.items()}
-    return DGA(new_pres, diff, source=dga.source)
+    return DGA(new_pres, diff)
 
 
 # ---- serialization ----
@@ -378,7 +369,7 @@ def apply_diag(dga: DGA, eps: dict[str, int], tau: str) -> DGA:
             for e, c in moved.items():
                 slot[e] = slot.get(e, 0) + sign * c
         out[g] = NcPoly(ZT, acc)
-    return DGA(dga.presentation, out, source=dga.source)
+    return DGA(dga.presentation, out)
 
 
 # ---- torus knot fronts T(p,-q) ----

@@ -173,149 +173,3 @@ def k1_trivial_cert_text() -> str:
         "assert-unit de",
         "",
     ])
-
-
-def k2_ideal_relations() -> tuple[tuple[str, NcPoly], ...]:
-    """The deliberate further quotient of the k2 characteristic algebra.
-
-    Killing these generators (and setting x13 = 1 + x2.x5) leaves an algebra
-    generated by x2, x4, x5, x14, x16, x18; the surviving relations reduce to
-    the three-generator presentation checked by the operator model in reps.
-    """
-    items = []
-    for i in (3, 7, 8, 9, 10):
-        items.append((f"i_x{i}", _g(i)))
-    items.append(("i_x13", _g(13) + NcPoly.one(F2) + _g(2) * _g(5)))
-    for i in (17, 19, 21, 22, 23, 24, 25):
-        items.append((f"i_x{i}", _g(i)))
-    return tuple(items)
-
-
-def k2_quotient_cert_text() -> str:
-    """Certificate deriving the reduced presentation of the k2 quotient.
-
-    Replayed against char_algebra(k2) extended with k2_ideal_relations().
-    Derives x1 = x6 = x11 = x12 = x15 = 0 (x1, x6 are the relations d_x2,
-    d_x8 themselves), x14 = x20, and then the defining relations of the
-    three-generator algebra in the letters x2 (a), x5 (b), x18 (c):
-
-        r_R2      (1+ba)c  = 0
-        r_R1      (1+ab)c  = 1
-        r_R3      (1+ba)ac = 1
-        r_final   (1+a)(1 + c(1+ab) + ac(1+ba)) = 0
-
-    together with the expressibility relations x4 = bc, x14 = (1+a)c,
-    x16 = (1+a)ac that make those letters generate the quotient.
-    """
-    assumes = [f"# assume {name} = {value.render()}" for name, value in k2_ideal_relations()]
-    return "\n".join([
-        "# Reduction of the k2 characteristic algebra, replayed step by step.",
-        "# Requires the i_* relations from the deliberate quotient ideal:",
-        *assumes,
-        "",
-        "# D(x12.x23 + x15.x22 + x17.x18) reduces to the bare generator x12",
-        "# (the x1 and x6 rules are vacuous here but document the reduction):",
-        "diff big12raw = D( x12.x23 + x15.x22 + x17.x18 )",
-        "subst r_x12 = big12raw with x1 -> 0; x6 -> 0",
-        "assert r_x12 = x12",
-        "",
-        "# with x12 = 0, the relation d_x24 says Q.x20 = 1 where Q = 1 + x5.(x2+x3):",
-        "subst r_q = d_x24 with x12 -> 0",
-        "assert r_q = 1 + x20 + x5.x2.x20 + x5.x3.x20",
-        "",
-        "# x11.Q = 0 (from d_x13) times the right inverse x20 kills x11:",
-        "subst s13 = d_x13 with x6 -> 0",
-        "comb r_x11 = ( 1 ) * s13 * ( x20 ) + ( x11 ) * r_q * ( 1 )",
-        "assert r_x11 = x11",
-        "",
-        "# the same trick applied to d_x17 kills x15:",
-        "subst s17 = d_x17 with x12 -> 0",
-        "comb r_x15 = ( 1 ) * s17 * ( x20 ) + ( x15 ) * r_q * ( 1 )",
-        "assert r_x15 = x15",
-        "",
-        "# d_x21 gives x14 = c.x20, and d_x25 (c = 1) turns that into x14 = x20:",
-        "subst s21 = d_x21 with x12 -> 0",
-        "comb r_x14x20 = ( 1 ) * s21 * ( 1 ) + ( 1 ) * d_x25 * ( x20 )",
-        "assert r_x14x20 = x14 + x20",
-        "",
-        "# --- into the deliberate quotient ---",
-        "# d_x22 becomes (1+ba)c = 0:",
-        "subst r_R2 = d_x22 with x3 -> 0",
-        "assert r_R2 = x18 + x5.x2.x18",
-        "",
-        "# d_x23 becomes (1+ab)c = 1:",
-        "subst r_R1 = d_x23 with x11 -> 0; x8 -> 0; x13 -> 1 + x2.x5",
-        "assert r_R1 = 1 + x18 + x2.x5.x18",
-        "",
-        "# the c = 1 relation in reduced form:",
-        "subst r_cbar = d_x25 with x3 -> 0; x8 -> 0; x17 -> 0; x13 -> 1 + x2.x5",
-        "assert r_cbar = 1 + x2 + x14 + x16 + x14.x2.x5 + x16.x5.x2",
-        "",
-        "# multiplying it by x18 on the right gives x14 = (1+x2).x18:",
-        "comb r_x14e = ( 1 ) * r_cbar * ( x18 ) + ( x14 ) * r_R1 * ( 1 ) + ( x16 ) * r_R2 * ( 1 )",
-        "assert r_x14e = x14 + x18 + x2.x18",
-        "",
-        "# d_x24 reads (1+ba).x14 = 1; substituting x14 out yields (1+ba)ac = 1:",
-        "subst s24 = d_x24 with x22 -> 0; x3 -> 0; x20 -> x14",
-        "subst s24b = s24 with x14 -> x18 + x2.x18",
-        "comb r_R3 = ( 1 ) * s24b * ( 1 ) + ( 1 ) * r_R2 * ( 1 )",
-        "assert r_R3 = 1 + x2.x18 + x5.x2.x2.x18",
-        "",
-        "# d_x7 and d_x19 reduce to x4 = x5.(1+x2.x4) and x18 = 1 + x2.x4,",
-        "# which combine into x4 = x5.x18:",
-        "subst r_e4 = d_x7 with x3 -> 0",
-        "assert r_e4 = x4 + x5 + x5.x2.x4",
-        "subst s19 = d_x19 with x3 -> 0; x8 -> 0; x17 -> 0; x13 -> 1 + x2.x5",
-        "comb r_e18 = ( 1 ) * s19 * ( 1 ) + ( 1 ) * r_cbar * ( x18 )",
-        "assert r_e18 = 1 + x18 + x2.x4",
-        "comb r_x4 = ( 1 ) * r_e4 * ( 1 ) + ( x5 ) * r_e18 * ( 1 )",
-        "assert r_x4 = x4 + x5.x18",
-        "",
-        "# substituting x14 out of the c = 1 relation, then multiplying by",
-        "# x2.x18 on the right, expresses x16 as (1+x2).x2.x18:",
-        "subst r_c2 = r_cbar with x14 -> x18 + x2.x18",
-        "comb r_x16 = ( 1 ) * r_c2 * ( x2.x18 ) + ( x16 ) * r_R3 * ( 1 )"
-        " + ( x18.x2 + x2.x18.x2 ) * r_R2 * ( 1 )",
-        "assert r_x16 = x16 + x2.x18 + x2.x2.x18",
-        "",
-        "# eliminating x16 as well turns c = 1 into the final relation",
-        "# (1+x2).(1 + x18.(1+x2.x5) + x2.x18.(1+x5.x2)) = 0:",
-        "subst r_final = r_c2 with x16 -> x2.x18 + x2.x2.x18",
-        "assert r_final = 1 + x2 + x18 + x2.x2.x18 + x18.x2.x5 + x2.x18.x2.x5"
-        " + x2.x18.x5.x2 + x2.x2.x18.x5.x2",
-        "",
-    ])
-
-
-def k2_norep_cert_text() -> str:
-    """Certificate for the no-finite-dimensional-representation verdict on k2.
-
-    Replayed by adjoin_and_derive with a = 1 + x5.(x2+x3) and b = x20: the
-    first steps establish a.b = 1 without the adjoined relation, and with
-    b.a = 1 adjoined the chain collapses d_x23 to the unit.
-    """
-    return "\n".join([
-        "# 0 = 1 in the k2 characteristic algebra after adjoining x20.Q = 1.",
-        "# witness a = 1 + x5.x2 + x5.x3",
-        "# witness b = x20",
-        "# Establish Q.x20 = 1 first (independent of the adjoined relation):",
-        "diff big12raw = D( x12.x23 + x15.x22 + x17.x18 )",
-        "subst r_x12 = big12raw with x1 -> 0; x6 -> 0",
-        "assert r_x12 = x12",
-        "subst r_ab = d_x24 with x12 -> 0",
-        "assert r_ab = 1 + x20 + x5.x2.x20 + x5.x3.x20",
-        "",
-        "# x20 . D(x22) collapses to x18 once x20.Q = 1:",
-        "comb r_x18 = ( x20 ) * d_x22 * ( 1 ) + ( 1 ) * adjoined * ( x18 )",
-        "assert r_x18 = x18",
-        "",
-        "# x11.Q = 0 against the right inverse of Q kills x11:",
-        "subst s13 = d_x13 with x6 -> 0",
-        "comb r_x11 = ( 1 ) * s13 * ( x20 ) + ( x11 ) * r_ab * ( 1 )",
-        "assert r_x11 = x11",
-        "",
-        "# d_x23 = 1 + x11.x22 + (x13 + x8.(x2+x3)).x18 now reads 0 = 1:",
-        "subst r_one = d_x23 with x11 -> 0; x18 -> 0",
-        "assert-unit r_one",
-        "",
-    ])

@@ -78,7 +78,7 @@ def mat_add(a: Mat, b: Mat) -> Mat:
     return tuple(x ^ y for x, y in zip(a, b))
 
 
-def mat_mul(a: Mat, b: Mat, n: int) -> Mat:
+def mat_mul(a: Mat, b: Mat) -> Mat:
     out = []
     for row in a:
         acc = 0
@@ -114,7 +114,7 @@ def evaluate_poly(p: NcPoly, images: Mapping[str, Mat], n: int) -> Mat:
             img = images.get(g)
             if img is None:
                 raise ValueError(f"no image for generator {g}")
-            m = mat_mul(m, img, n)
+            m = mat_mul(m, img)
         acc = mat_add(acc, m)
     return acc
 
@@ -252,7 +252,7 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
         else:
             mm = decode_matrix(m, n)
             for i in w:
-                mm = mat_mul(mm, decode_matrix(images[i], n), n)
+                mm = mat_mul(mm, decode_matrix(images[i], n))
             m = encode_matrix(mm, n)
         return m
 
@@ -535,8 +535,8 @@ def mat2_presentation_check() -> bool:
     """
     n = 2
     mats = {(): mat_identity(n), ("a",): (2, 0), ("b",): (0, 1)}
-    mats[("a", "b")] = mat_mul(mats[("a",)], mats[("b",)], n)
-    if mat_add(mats[("a", "b")], mat_mul(mats[("b",)], mats[("a",)], n)) != mat_identity(n):
+    mats[("a", "b")] = mat_mul(mats[("a",)], mats[("b",)])
+    if mat_add(mats[("a", "b")], mat_mul(mats[("b",)], mats[("a",)])) != mat_identity(n):
         return False
     if _reduce_word(("b", "a")) != frozenset([(), ("a", "b")]):
         return False
@@ -556,7 +556,7 @@ def mat2_presentation_check() -> bool:
             for wx in x:
                 for wy in y:
                     prod ^= _reduce_word(wx + wy)
-            if phi(prod) != mat_mul(phi(x), phi(y), n):
+            if phi(prod) != mat_mul(phi(x), phi(y)):
                 return False
     return True
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import functools
+import hashlib
 import io
 import os
 import pathlib
@@ -420,13 +421,25 @@ def test_library_has_no_assert_statements():
 
 
 def test_bundled_artifacts_match_their_builders():
-    # the byte-identity pin on data/ and certs/: --check writes nothing and
-    # exits 1 naming each file that differs from what refdata builds
+    # the byte-identity pin on the four built files in data/ and certs/:
+    # --check writes nothing and exits 1 naming each file that differs from
+    # what refdata builds
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "build_bundled_data.py"), "--check"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and "STALE" not in proc.stdout, proc.stdout
-    assert proc.stdout.count("ok ") == 6 and proc.stderr == ""
+    assert proc.stdout.count("ok ") == 4 and proc.stderr == ""
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("k2_quotient.cert", "a155cd28b102c7601aef3924b48f99d17c743038bd20d86a8abe2d05167c06ed"),
+    ("k2_norep.cert", "bb255c7bc1c2cda461f9f0f11685ed7782cef507a5225e379321195de04f9582"),
+])
+def test_hand_written_certificates_match_their_digests(name, digest):
+    # the k2 certificates have no builder: the files are the source, and
+    # this pins them byte for byte
+    data = (ROOT / "certs" / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # ---- fuzzed text inputs ----

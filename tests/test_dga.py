@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,7 +21,7 @@ from lch.dga import (
     torus_dga,
     torus_front,
 )
-from lch.freealg import F2, ZT, parse
+from lch.freealg import F2, ZT, NcPoly, parse
 from lch.plat import build_front, parse_plat
 from plat_strategies import front_of, knot_plats
 
@@ -105,6 +107,28 @@ def test_k1_diag_equivalent_to_reference(k1_zt):
     moved = apply_diag(k1_zt, eps, tau)
     for g in ref.presentation.generators:
         assert moved.d(g) == ref.d(g), g
+
+
+@pytest.mark.parametrize("tau", ["t", "t^-1", "-t", "-t^-1"])
+def test_diag_equivalence_recovers_sign_changes(k1_zt, tau):
+    rng = random.Random(9)
+    eps = {g: rng.choice((1, -1)) for g in k1_zt.presentation.generators}
+    assert -1 in eps.values()
+    moved = apply_diag(k1_zt, eps, tau)
+    witness = dga_diag_equivalent(k1_zt, moved)
+    assert witness is not None
+    assert apply_diag(k1_zt, *witness).differential == moved.differential
+
+
+def test_diag_equivalence_rejects_one_flipped_sign(k1_zt):
+    # d(x11) holds 1, x2.x5, x7.x4 and x7.x4.x2.x5: the signs of the last
+    # three fix the sign of the constant term, so negating it alone leaves
+    # no consistent sign vector for any tau
+    terms = dict(k1_zt.d("x11").terms)
+    terms[()] = {e: -c for e, c in terms[()].items()}
+    flipped = DGA(k1_zt.presentation,
+                  dict(k1_zt.differential) | {"x11": NcPoly(ZT, terms)})
+    assert dga_diag_equivalent(k1_zt, flipped) is None
 
 
 def test_diag_equivalence_rejects_different_supports(k1_zt):
