@@ -8,6 +8,12 @@ turns a convex corner; at a left cusp joining exactly the two endpoint
 slots it closes.  Every admissible embedded disk boundary is x-monotone
 on both arcs, so this interval sweep enumerates all of them.
 
+An event that touches neither slot of a state leaves it as it is, so each
+state is filed under the next event to the west that touches one of its
+slots, and the sweep visits only those events.  The cap on states, the
+number of events times the number of slots, still counts every partial
+disk that spans a column, filed or not.
+
 The corner word is read counterclockwise from the positive corner: upper
 arc east to west, then lower arc west to east.  Over Z[t,t^-1] a negative
 corner flips the sign exactly when it sits on the upper arc at a crossing
@@ -50,8 +56,16 @@ class DGA:
 
 
 def _sweep_generator(front: FrontDiagram, j: int, ring: str,
-                     parity: dict[str, int], cap: int) -> NcPoly:
-    """Sum of corner words of disks whose positive corner is event j."""
+                     parity: dict[str, int], cap: int,
+                     touch: list[list[int]]) -> NcPoly:
+    """Sum of corner words of disks whose positive corner is event j.
+
+    `touch[k][s]` is the last event west of event k with slot s among its
+    slots, or -1.  `live` counts the partial disks that span the column west
+    of the last visited event.  Only a visited event changes that count, so
+    checking it against `cap` there refuses exactly where a column-by-column
+    sweep would.
+    """
     ev = front.events[j]
     acc: dict[Word, Coef] = {}
 
@@ -60,8 +74,17 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
         slot[0] = slot.get(0, 0) + sign
 
     # state = (upper slot, lower slot, upper-arc corners, lower-arc corners, sign)
-    states = [(ev.slots[0], ev.slots[1], (), (), 1)]
+    u, l = ev.slots
+    west = touch[j]
+    # buckets[k] holds the partial disks waiting on event k; those no event
+    # west touches go under -1, that is into buckets[j], which is never taken
+    buckets: list[list] = [[] for _ in range(j + 1)]
+    buckets[max(west[u], west[l])].append((u, l, (), (), 1))
+    live = 1
     for k in range(j - 1, -1, -1):
+        states = buckets[k]
+        if not states:
+            continue
         e = front.events[k]
         a, b = e.slots
         new_states = []
@@ -97,13 +120,17 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
                     new_states.append(st)
             else:
                 new_states.append(st)
-        states = new_states
-        if len(states) > cap:
+        west = touch[k]
+        for st in new_states:
+            wu, wl = west[st[0]], west[st[1]]
+            buckets[wu if wu > wl else wl].append(st)
+        live += len(new_states) - len(states)
+        if live > cap:
             raise RuntimeError(
                 f"disk sweep for {ev.name} exceeded {cap} states per slice"
             )
-    if states:
-        raise RuntimeError(f"disk sweep for {ev.name} left {len(states)} open states")
+    if live:
+        raise RuntimeError(f"disk sweep for {ev.name} left {live} open states")
     return NcPoly(ring, acc)
 
 
@@ -120,12 +147,18 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
         raise GradingError("ZT signs need a Z or even-modulus grading")
     parity = {g: v % 2 for g, v in table.grading.items()}
     cap = len(front.events) * front.n_slots
+    touch: list[list[int]] = []
+    row = [-1] * (front.n_slots + 1)
+    for k, e in enumerate(front.events):
+        touch.append(row)
+        row = row.copy()
+        row[e.slots[0]] = row[e.slots[1]] = k
 
     differential: dict[str, NcPoly] = {}
     for k, e in enumerate(front.events):
         if e.kind == "L":
             continue
-        poly = _sweep_generator(front, k, ring, parity, cap)
+        poly = _sweep_generator(front, k, ring, parity, cap, touch)
         if e.kind == "R":
             if ring == ZT and e.name == front.base_cusp:
                 poly = poly + NcPoly.t_power(-1)

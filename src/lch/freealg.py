@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 F2 = "F2"
@@ -35,8 +36,10 @@ def _check_ring(ring: str) -> None:
         raise ValueError(f"unknown ring {ring!r}")
 
 
+@lru_cache(maxsize=None)
 def _natural_key(name: str):
-    # x2 < x10, and mixed alpha/digit chunks compare without type errors
+    # x2 < x10, and mixed alpha/digit chunks compare without type errors;
+    # cached per name, since every sort of words asks again for each letter
     parts = []
     for piece in re.split(r"(\d+)", name):
         if not piece:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,8 @@ from lch.dga import (
     torus_dga,
     torus_front,
 )
-from lch.freealg import F2, ZT, NcPoly, parse
-from lch.plat import build_front, parse_plat
+from lch.freealg import F2, ZT, Coef, NcPoly, Word, parse
+from lch.plat import build_front, maslov_grading, parse_plat
 from plat_strategies import front_of, knot_plats
 
 
@@ -261,3 +263,147 @@ def test_random_plat_serialization_round_trips(sw):
     g = compute_dga(front, ZT)
     again = deserialize(serialize(g))
     assert serialize(again) == serialize(g)
+
+
+# ---- exactness of the event-filed sweep ----
+
+# full sha256 of serialize(compute_dga(torus_front(p, q), ring)); the first
+# 16 hex digits are the benchmark's pins
+TORUS_DIGESTS = {
+    (5, 8, F2): "586b65386f51887404cf8ab82c1391c1bc72d77f4a547aff50121dfce45d8b00",
+    (5, 8, ZT): "f960f3ad6c6000ecfd96006ffeafdbaed49b5cb51e9ce5651e8d5d3137562156",
+    (7, 9, F2): "95fd2bace5addbda183a6dc4b874fdedfa1c3646edafe816e557be5642624d41",
+    (7, 9, ZT): "54c93f235424a98dc8177293ee24bd76d6ee6a73ece0d059c3a1157c738695b1",
+    (9, 11, F2): "dd0ba3b293b43ad6e136c713cca6b29534c889e8762626b96a2299103e20f495",
+    (9, 11, ZT): "1db706eb973c33b0a176667c090dbf14879e715c8e0e174ac41c5b722172ca26",
+    (11, 13, F2): "43b8e8cda96097a77937cee67b4a8b3435ec313dda744e451acbb1544e3c0741",
+    (11, 13, ZT): "f71e353315a22fc7c3fefea0e7fe0025f47d54a86e4c7b02050fef6a192d23bd",
+    (13, 15, F2): "947a5c6748fc8513ebd0ea24128ab84ab436a7f2f168b0822edd4c858c7a65ea",
+    (13, 15, ZT): "d30f5835478aa5aaaf2388a9e925e01fda1f53c3ab738b4933c00fa293053fb7",
+}
+
+
+@pytest.mark.parametrize("p,q,ring", sorted(TORUS_DIGESTS, key=str))
+def test_torus_ladder_serialization_is_pinned(p, q, ring):
+    text = serialize(compute_dga(torus_front(p, q)[0], ring))
+    assert hashlib.sha256(text.encode()).hexdigest() == TORUS_DIGESTS[(p, q, ring)]
+
+
+SWEEP_CAP = re.compile(r"disk sweep for \S+ exceeded \d+ states per slice")
+
+
+@pytest.mark.parametrize("word,strands,message", [
+    ("3,1,1,3,3,3,1,3,2,3,1", 4, "disk sweep for x9 exceeded 60 states per slice"),
+    ("3,3,3,1,1,1,3,1,1,2", 4, "disk sweep for x10 exceeded 56 states per slice"),
+    # the sweep for x11 peaks at 69 states, one over the cap
+    ("2,2,3,3,3,1,1,3,1,1,2,3,3", 4, "disk sweep for x11 exceeded 68 states per slice"),
+    ("4,1,2,4,1,5,2,4,4,4,4,4,5", 6, "disk sweep for x15 exceeded 114 states per slice"),
+    ("3,3,1,2,2,2,4,1,4,4,2,2", 6, "disk sweep for x14 exceeded 108 states per slice"),
+    ("6,7,3,7,7,2,3,6,3,4,6,6,6,6", 8, "disk sweep for x17 exceeded 176 states per slice"),
+    ("7,4,2,3,4,1,4,6,1,6,6,6,6,4,1,1,7", 8, "disk sweep for x20 exceeded 200 states per slice"),
+])
+def test_sweep_refusal_message_is_pinned(word, strands, message):
+    front = build_front(parse_plat(word, strands))
+    for ring in (F2, ZT):
+        with pytest.raises(RuntimeError) as info:
+            compute_dga(front, ring)
+        assert str(info.value) == message
+        assert SWEEP_CAP.fullmatch(str(info.value))
+
+
+def test_sweep_at_exactly_the_cap_is_kept():
+    # the sweep for x17 peaks at 126 states, the cap of this front
+    front = build_front(parse_plat("3,5,1,5,2,4,1,2,4,1,4,5,2,2,1", 6))
+    assert len(front.events) * front.n_slots == 126
+    assert compute_dga(front, F2).d("x17") == parse("1", F2)
+
+
+def _column_sweep(front, j, ring, parity, cap):
+    """Independent oracle: carry every partial disk across every event west of j."""
+    ev = front.events[j]
+    acc: dict[Word, Coef] = {}
+    states = [(ev.slots[0], ev.slots[1], (), (), 1)]
+    for k in range(j - 1, -1, -1):
+        e = front.events[k]
+        a, b = e.slots
+        new_states = []
+        for st in states:
+            u, l, up, lo, sg = st
+            if e.kind == "X":
+                if a == u and b == l:
+                    continue
+                if b == u:
+                    new_states.append((a, l, up, lo, sg))
+                    csg = -sg if ring == ZT and parity[e.name] == 0 else sg
+                    new_states.append((u, l, up + (e.name,), lo, csg))
+                elif a == u:
+                    new_states.append((b, l, up, lo, sg))
+                elif a == l:
+                    new_states.append((u, b, up, lo, sg))
+                    new_states.append((u, l, up, lo + (e.name,), sg))
+                elif b == l:
+                    new_states.append((u, a, up, lo, sg))
+                else:
+                    new_states.append(st)
+            elif e.kind == "L":
+                if a == u and b == l:
+                    coef = acc.setdefault(up + tuple(reversed(lo)), {})
+                    coef[0] = coef.get(0, 0) + sg
+                elif not {a, b} & {u, l}:
+                    new_states.append(st)
+            else:
+                new_states.append(st)
+        states = new_states
+        if len(states) > cap:
+            raise RuntimeError(f"disk sweep for {ev.name} exceeded {cap} states per slice")
+    assert not states
+    return NcPoly(ring, acc)
+
+
+def _column_sweep_differential(front, ring):
+    parity = {g: v % 2 for g, v in maslov_grading(front).grading.items()}
+    cap = len(front.events) * front.n_slots
+    diff = {}
+    for j, e in enumerate(front.events):
+        if e.kind == "L":
+            continue
+        poly = _column_sweep(front, j, ring, parity, cap)
+        if e.kind == "R":
+            base = ring == ZT and e.name == front.base_cusp
+            poly = poly + (NcPoly.t_power(-1) if base else NcPoly.one(ring))
+        diff[e.name] = poly
+    return diff
+
+
+def _assert_matches_column_sweep(front):
+    for ring in (F2, ZT):
+        try:
+            want = _column_sweep_differential(front, ring)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as info:
+                compute_dga(front, ring)
+            assert str(info.value) == str(exc)
+            continue
+        assert compute_dga(front, ring).differential == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(knot_plats)
+def test_random_plat_matches_column_sweep(sw):
+    _assert_matches_column_sweep(front_of(sw))
+
+
+def test_longer_plats_match_column_sweep():
+    # longer words than knot_plats draws, where most events pass a partial
+    # disk by and some words hit the cap
+    rng = random.Random(11)
+    checked = 0
+    while checked < 60:
+        strands = rng.choice((4, 6, 8))
+        word = ",".join(str(rng.randint(1, strands - 1)) for _ in range(rng.randint(9, 18)))
+        try:
+            front = build_front(parse_plat(word, strands))
+        except ValueError:
+            continue
+        _assert_matches_column_sweep(front)
+        checked += 1
