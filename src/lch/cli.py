@@ -177,12 +177,17 @@ def cmd_verify_R(args) -> int:
 
 
 def cmd_search_aug(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
     g = _load_dga(args.dga)
-    found = reps.find_augmentations(g, graded=args.graded)
+    found, reason, _ = reps._augmentations(g, args.graded, args.budget)
     gens = g.presentation.generators
     for eps in found:
         print(" ".join(f"{name}={eps[name]}" for name in gens))
-    print(f"{len(found)} augmentation(s)")
+    if reason == "budget":
+        print(f"{len(found)} augmentation(s) within budget (inconclusive)")
+    else:
+        print(f"{len(found)} augmentation(s)")
     return EXIT_OK
 
 
@@ -285,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("aug", help="all augmentations of a DGA file")
     p.add_argument("--dga", required=True)
     p.add_argument("--graded", action="store_true")
+    p.add_argument("--budget", type=int, default=10 ** 8,
+                   help="candidate values to try, counted in enumeration order")
     p.set_defaults(fn=cmd_search_aug)
 
     p = ssub.add_parser("matrep", help="first matrix representation, if any")

@@ -386,25 +386,6 @@ def dga_diag_equivalent(g1: DGA, g2: DGA):
     return None
 
 
-def apply_diag(dga: DGA, eps: dict[str, int], tau: str) -> DGA:
-    """Apply x_i -> eps_i x_i, t -> tau to the differential (for testing)."""
-    s = -1 if tau.startswith("-") else 1
-    dexp = -1 if tau.endswith("t^-1") else 1
-    out: dict[str, NcPoly] = {}
-    for g, p in dga.differential.items():
-        acc: dict[Word, Coef] = {}
-        for w, coef in p.terms.items():
-            sign = eps[g]
-            for letter in w:
-                sign *= eps[letter]
-            moved = _apply_tau(coef, s, dexp)
-            slot = acc.setdefault(w, {})
-            for e, c in moved.items():
-                slot[e] = slot.get(e, 0) + sign * c
-        out[g] = NcPoly(ZT, acc)
-    return DGA(dga.presentation, out)
-
-
 # ---- torus knot fronts T(p,-q) ----
 
 @dataclass(frozen=True)

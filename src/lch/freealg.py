@@ -19,8 +19,15 @@ ZT = "ZT"
 _RINGS = (F2, ZT)
 
 _GEN_RE = re.compile(r"[A-Za-z_]\w*")
-_INT_RE = re.compile(r"-?\d+")
-_TPOW_RE = re.compile(r"t\^(-?\d+)")
+# one factor of a term, with the separator before it, whitespace stripped:
+# groups are the separator ('' at the start), a sign '-' opening the term,
+# then exactly one of an integer, t or t^k (with k), a dot-joined word of
+# generator names other than t, or anything else up to the next separator;
+# the last group is '*' when the term goes on past this factor
+_FACTOR_RE = re.compile(
+    r"(^|[+*])\s*(-\s*)?"
+    r"(?:(\d+)|(t(?:\^(-?\d+))?)|((?!t\b)[A-Za-z_]\w*(?:\.(?!t\b)[A-Za-z_]\w*)*)|([^+*]*?))"
+    r"\s*(?=(\*)|\+|\Z)")
 
 Word = tuple[str, ...]
 # coefficient = Laurent polynomial, exponent -> integer, no zero values stored
@@ -233,38 +240,34 @@ def parse(text: str, ring: str) -> NcPoly:
         raise ValueError("empty polynomial text")
     if s == "0":
         return NcPoly.zero(ring)
-    # a '-' not part of an exponent starts a new negated term
-    pieces = [p.strip() for p in re.sub(r"(?<!\^)-", "+-", s).split("+")]
+    # a '-' not part of an exponent starts a new negated term; the text is
+    # then read in one pass, factor by factor
     acc: dict[Word, Coef] = {}
     saw_piece = False
-    for piece in pieces:
-        if not piece:
+    coef = exp = 0
+    word: list[str] = []
+    for sep, neg, digits, tee, tpow, names, other, more in _FACTOR_RE.findall(
+            re.sub(r"(?<!\^)-", "+-", s)):
+        if sep != "*":
+            coef, exp, word = (-1 if neg else 1), 0, []
+        if digits:
+            coef *= int(digits)
+        elif tee:
+            exp += int(tpow) if tpow else 1
+        elif names:
+            word += names.split(".")
+        elif other or neg or sep == "*" or more:
+            raise ValueError(f"bad factor {other!r} in {text!r}")
+        else:
+            continue  # a blank term
+        if more:
             continue
         saw_piece = True
-        sign = 1
-        if piece.startswith("-"):
-            sign = -1
-            piece = piece[1:].strip()
-        coef = sign
-        exp = 0
-        word: list[str] = []
-        for factor in piece.split("*"):
-            factor = factor.strip()
-            if _INT_RE.fullmatch(factor):
-                coef *= int(factor)
-            elif factor == "t":
-                exp += 1
-            elif _TPOW_RE.fullmatch(factor):
-                exp += int(factor[2:])
-            else:
-                for g in factor.split("."):
-                    if not _GEN_RE.fullmatch(g) or g == "t":
-                        raise ValueError(f"bad factor {factor!r} in {text!r}")
-                    word.append(g)
         if ring == F2 and exp != 0:
             raise ValueError("t is not allowed over F2")
+        # zero sums are dropped when the NcPoly is built
         slot = acc.setdefault(tuple(word), {})
-        _coef_add(slot, {exp: coef})
+        slot[exp] = slot.get(exp, 0) + coef
     if not saw_piece:
         raise ValueError(f"no terms in {text!r}")
     return NcPoly(ring, acc)

@@ -8,17 +8,19 @@ relation once its last generator is assigned.  For n <= 3, a level is solved
 when it closes a relation and its generator occurs at most once in every
 word of the relations it closes: those relations are then affine in the new image, so
 n^2 + 1 evaluations give their value at all 2^(n^2) candidates and the zeros
-are the survivors.  Other levels, and every level for n >= 4, are
-enumerated lazily, one candidate at a time.  The subtree below a level reads
-only the images of the generators that later relations mention; where one
-of them drops out of that frontier, a failed subtree is remembered by the
-frontier's images and charged again, not replayed, when they recur.  The
-explicit two-dimensional homomorphism for maximal-tb negative torus knots is
-built directly from the labeled front.  Finally, the nontriviality witness
-for the three-generator quotient algebra is an operator action on a
-countable basis v_0, v_1, ...; since the operators roughly double basis
-indices, we truncate to N coordinates and track, per composed word, the
-largest index whose image is still exact.
+are the survivors.  Those zeros depend only on the images of the other
+generators in the closing words, so a solved level keeps them under those
+images, and each distinct affine map is tabulated once per search.  Other
+levels, and every level for n >= 4, are enumerated lazily, one candidate at
+a time.  The subtree below a level reads only the images of the generators
+that later relations mention; where one of them drops out of that frontier,
+a failed subtree is remembered by the frontier's images and charged again,
+not replayed, when they recur.  The explicit two-dimensional homomorphism
+for maximal-tb negative torus knots is built directly from the labeled
+front.  Finally, the nontriviality witness for the three-generator quotient
+algebra is an operator action on a countable basis v_0, v_1, ...; since the
+operators roughly double basis indices, we truncate to N coordinates and
+track, per composed word, the largest index whose image is still exact.
 
 Everything is over F2.  Search routines never claim nonexistence: a failed
 search within budget is inconclusive by design.
@@ -273,7 +275,20 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
             else:
                 yield cand
 
-    def solve_level(system) -> list[int]:
+    # zeros of each affine map solved so far, keyed by (base, *units), so
+    # that levels and visits with equal maps share one tuple
+    solved: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def solve_level(system, reads: tuple[int, ...], seen: dict[int, tuple[int, ...]]):
+        # the zeros depend only on the images of reads, the other generators
+        # of the closing words, so a visit that finds them as before reuses
+        # the zeros found then
+        key = 0
+        for j in reads:
+            key = key << nn | images[j]
+        zeros = seen.get(key)
+        if zeros is not None:
+            return zeros
         # the closing relations, packed nn bits apiece into one int, are an
         # affine function of X: base at X = 0, plus units[b] for each bit b
         base = 0
@@ -296,7 +311,13 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
                         column <<= shift
                         for c in range(n):
                             units[r * n + c] ^= ((b >> (c * n)) & row_mask) * column
-        return [c for c, v in enumerate(_subset_xor(base, units)) if not v]
+        affine = (base, *units)
+        zeros = solved.get(affine)
+        if zeros is None:
+            zeros = solved[affine] = tuple(
+                c for c, v in enumerate(_subset_xor(base, units)) if not v)
+        seen[key] = zeros
+        return zeros
 
     levels = []
     for i, checks in enumerate(schedule):
@@ -309,7 +330,8 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
                 plain = [w for w in words if i not in w]
                 linear = [(w[:w.index(i)], w[w.index(i) + 1:]) for w in words if i in w]
                 system.append((j * nn, const, plain, linear))
-            levels.append(functools.partial(solve_level, system))
+            reads = tuple(sorted({j for k in checks for w in compiled[k][1] for j in w} - {i}))
+            levels.append(functools.partial(solve_level, system, reads, {}))
         else:
             levels.append(functools.partial(enumerate_level, i, checks))
 
@@ -417,11 +439,16 @@ def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8)
     frontier stops growing, a subtree that fails is stored under the
     frontier's images with the number of candidates it charged; when the
     same images recur, that count is charged again and the subtree is
-    skipped.  Each stored entry is one exhausted visit of a level, which
-    charges 2^(n^2) candidates, so a search of `nodes` candidates stores at
-    most nodes / 2^(n^2) entries.  The budget counts candidates in
-    enumeration order throughout, so the first hit, the node count and the
-    budget's meaning do not depend on solving or remembering.
+    skipped.  A solved level likewise keeps its zeros under the images of
+    the other generators in the words it closes, and a visit that finds
+    those images again evaluates nothing; equal affine maps share one zero
+    list, so each is tabulated once.  Every visit of a level charges
+    2^(n^2) candidates once it is done, and each stored entry or zero list
+    comes from one visit, so a search of `nodes` candidates stores at most
+    nodes / 2^(n^2) of each, plus one per level for the visits still open
+    when it stops.  The budget counts candidates in enumeration order
+    throughout, so the first hit, the node count and the budget's meaning
+    do not depend on solving or remembering.
     Exhausting the node budget returns None, which is inconclusive:
     nonexistence claims are the business of certificate replay, never of
     this search.
@@ -431,13 +458,14 @@ def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8)
 
 # ---- augmentations: the search at n = 1, and a brute-force oracle ----
 
-def find_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int]]:
-    """All algebra maps to F2 killing every differential, in lexicographic order.
+def _augmentations(g: DGA, graded: bool,
+                   budget: float) -> tuple[list[dict[str, int]], str, int]:
+    """The augmentations found within budget, why the search stopped, its node count.
 
-    These are the one-dimensional representations: every solution of the
-    matrix search's engine at n = 1, with no node budget.  With graded set,
-    generators of nonzero degree are pinned to 0 before the engine runs:
-    they are dropped, with every word containing one, and come back as 0.
+    The reason is "exhausted" or "budget", and the count is _walk's at n = 1.
+    With graded set, generators of nonzero degree are pinned to 0 before the
+    engine runs: they are dropped, with every word containing one, and come
+    back as 0.
     """
     gens, rels = _constraints(g)
     free = gens
@@ -446,8 +474,25 @@ def find_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int]]:
         kept = set(free)
         rels = [NcPoly(F2, {w: c for w, c in r.terms.items() if kept.issuperset(w)})
                 for r in rels]
-    solutions = (dict(zip(free, codes)) for codes, _ in _walk(free, rels, 1, math.inf))
-    return [{x: eps.get(x, 0) for x in gens} for eps in solutions]
+    walk = _walk(free, rels, 1, budget)
+    found = []
+    while True:
+        try:
+            codes, _ = next(walk)
+        except StopIteration as stop:
+            return (found, *stop.value)
+        eps = dict(zip(free, codes))
+        found.append({x: eps.get(x, 0) for x in gens})
+
+
+def find_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int]]:
+    """All algebra maps to F2 killing every differential, in lexicographic order.
+
+    These are the one-dimensional representations: every solution of the
+    matrix search's engine at n = 1, with no node budget; `graded` pins the
+    generators of nonzero degree to 0.
+    """
+    return _augmentations(g, graded, math.inf)[0]
 
 
 def exhaustive_augmentations(g: DGA) -> list[dict[str, int]]:

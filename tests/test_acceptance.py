@@ -255,7 +255,7 @@ def test_criterion_13_m942_two_dimensional_representation():
         assert serialize_rep(rho) == committed
         assert verify_matrix_rep(g, deserialize_rep(committed))
 
-    _criterion(13, "two-dimensional representation found and verified", 60.0, body)
+    _criterion(13, "two-dimensional representation found and verified", 20.0, body)
 
 
 def test_criterion_14_property_suites():

@@ -311,6 +311,35 @@ def test_search_aug_long_chain(tmp_path, capsys):
     assert out == f"{forced} x{n}=0\n{forced} x{n}=1\n2 augmentation(s)\n"
 
 
+def test_search_aug_budget_is_inconclusive(tmp_path, capsys):
+    # ungraded T(7,-9) has no augmentation, and its search does not exhaust
+    # the space within this budget, so it neither lists one nor claims none
+    dga_path = tmp_path / "t79.dga"
+    run(capsys, "torus-dga", "--p", "7", "--q", "9", "--out", str(dga_path))
+    code, out, err = run(capsys, "search", "aug", "--dga", str(dga_path),
+                         "--budget", "1000000")
+    assert code == EXIT_OK and err == ""
+    assert out == "0 augmentation(s) within budget (inconclusive)\n"
+
+
+def test_search_aug_budget_keeps_what_it_found(tmp_path, capsys):
+    dga_path = tmp_path / "t.dga"
+    run(capsys, "dga", "--strands", "4", "2,2,2", "--out", str(dga_path))
+    _, every, _ = run(capsys, "search", "aug", "--dga", str(dga_path))
+    code, out, _ = run(capsys, "search", "aug", "--dga", str(dga_path), "--budget", "20")
+    lines = out.splitlines()
+    assert code == EXIT_OK and 0 < len(lines) - 1 < 20
+    assert lines[-1] == f"{len(lines) - 1} augmentation(s) within budget (inconclusive)"
+    assert every.startswith("\n".join(lines[:-1]) + "\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_search_aug_rejects_nonpositive_budget(capsys, value):
+    code, out, err = run(capsys, "search", "aug", "--dga", K2_DGA, "--budget", value)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: --budget must be positive, got {value}\n"
+
+
 def test_search_matrep_trefoil(tmp_path, capsys):
     dga_path = tmp_path / "t.dga"
     run(capsys, "dga", "--strands", "4", "2,2,2", "--out", str(dga_path))

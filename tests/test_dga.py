@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from lch import refdata
 from lch.dga import (
     DGA,
-    apply_diag,
     check_d_squared,
     check_homogeneous,
     compute_dga,
@@ -85,6 +84,28 @@ def test_k2_d_squared_and_homogeneity(k2_f2):
 
 
 # ---- the 23-generator reference table ----
+
+def apply_diag(dga: DGA, eps: dict[str, int], tau: str) -> DGA:
+    """Apply x_i -> eps_i x_i and t -> tau to every differential.
+
+    tau is one of t, t^-1, -t, -t^-1, so t^e goes to s^e t^(dexp e) with
+    s = +-1; written independently of the equivalence search it checks.
+    """
+    s = -1 if tau.startswith("-") else 1
+    dexp = -1 if tau.endswith("t^-1") else 1
+    out: dict[str, NcPoly] = {}
+    for g, p in dga.differential.items():
+        acc: dict[Word, Coef] = {}
+        for w, coef in p.terms.items():
+            sign = eps[g]
+            for letter in w:
+                sign *= eps[letter]
+            slot = acc.setdefault(w, {})
+            for e, c in coef.items():
+                slot[dexp * e] = slot.get(dexp * e, 0) + sign * s ** (e % 2) * c
+        out[g] = NcPoly(ZT, acc)
+    return DGA(dga.presentation, out)
+
 
 def test_k1_d_squared_over_laurent(k1_zt):
     assert check_d_squared(k1_zt) is None
@@ -217,6 +238,16 @@ def test_deserialize_rejects_repeated_lines(text, why):
 def test_deserialize_rejects_unknown_generator_in_diff():
     with pytest.raises(ValueError, match="unknown generator"):
         deserialize("ring F2\ngen x1 0\nd x1 = x2\n")
+
+
+@pytest.mark.parametrize("body,why", [
+    ("x2 + x1 y", "bad factor 'x1 y' in 'x2 + x1 y'"),
+    ("x2 + t*x1", "t is not allowed over F2"),
+])
+def test_deserialize_reads_the_polynomial_before_its_generators(body, why):
+    with pytest.raises(ValueError) as err:
+        deserialize(f"ring F2\ngen x1 0\nd x1 = {body}\n")
+    assert str(err.value) == f"line 3: {why}"
 
 
 def test_deserialize_reports_line_numbers():

@@ -116,6 +116,93 @@ def test_parse_rejects_garbage():
         parse("t", F2)
 
 
+# each malformed text and its exact message; within a term every factor is
+# read before the term's t is refused over F2, and terms are read in order
+@pytest.mark.parametrize("text,ring,message", [
+    ("", F2, "empty polynomial text"),
+    (" \n\t", ZT, "empty polynomial text"),
+    ("+", F2, "no terms in '+'"),
+    (" + \n+ ", ZT, "no terms in ' + \\n+ '"),
+    ("x1 *", F2, "bad factor '' in 'x1 *'"),
+    ("*x1", F2, "bad factor '' in '*x1'"),
+    (" * x1", ZT, "bad factor '' in ' * x1'"),
+    ("x1 + 2*", ZT, "bad factor '' in 'x1 + 2*'"),
+    ("x1 - - x2", ZT, "bad factor '' in 'x1 - - x2'"),
+    ("2*-3*x1", ZT, "bad factor '' in '2*-3*x1'"),
+    ("x1 . x2", F2, "bad factor 'x1 . x2' in 'x1 . x2'"),
+    ("x$", F2, "bad factor 'x$' in 'x$'"),
+    ("x1 + é", F2, "bad factor 'é' in 'x1 + é'"),
+    ("t.x1", ZT, "bad factor 't.x1' in 't.x1'"),
+    ("x1.t", ZT, "bad factor 'x1.t' in 'x1.t'"),
+    ("t^x", ZT, "bad factor 't^x' in 't^x'"),
+    ("t ^2*x1", ZT, "bad factor 't ^2' in 't ^2*x1'"),
+    ("t^ -1", ZT, "bad factor 't^' in 't^ -1'"),
+    ("2 3*x1", ZT, "bad factor '2 3' in '2 3*x1'"),
+    ("1x", F2, "bad factor '1x' in '1x'"),
+    ("x^-1", ZT, "bad factor 'x^-1' in 'x^-1'"),
+    ("t^2*x1", F2, "t is not allowed over F2"),
+    ("t*x1 y", F2, "bad factor 'x1 y' in 't*x1 y'"),
+    ("t + x$", F2, "t is not allowed over F2"),
+    ("x1", "Q", "unknown ring 'Q'"),
+])
+def test_parse_malformed_messages(text, ring, message):
+    with pytest.raises(ValueError) as err:
+        parse(text, ring)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,ring,want", [
+    # blank terms are skipped and whitespace around separators is free
+    ("x1 + ", F2, "x1"),
+    (" + x1 ++ x2\n", F2, "x1 + x2"),
+    ("- 2 * x1", ZT, "-2*x1"),
+    # factors multiply in any order; word factors concatenate in order
+    ("x1*3*t*x2.x3*t^-2", ZT, "3*t^-1*x1.x2.x3"),
+    ("t^0*x10", F2, "x10"),
+    ("x_1.T.t2", F2, "x_1.T.t2"),
+])
+def test_parse_accepts_noncanonical_text(text, ring, want):
+    assert parse(text, ring).render() == want
+
+
+_term = st.tuples(st.integers(-3, 3), st.integers(-2, 2),
+                  st.lists(st.sampled_from(["x1", "x2", "x10", "y_3", "tt"]), max_size=3))
+_space = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def _written_terms(draw, ring):
+    """Terms and one text for their sum: factors in any order, free spacing."""
+    terms = draw(st.lists(_term, min_size=1, max_size=4))
+    if ring == F2:
+        terms = [(c, 0, w) for c, _, w in terms]
+    pieces = []
+    for c, e, w in terms:
+        cut = draw(st.integers(0, len(w)))
+        factors = [".".join(part) for part in (w[:cut], w[cut:]) if part]
+        if abs(c) != 1 or not factors:
+            factors.insert(draw(st.integers(0, len(factors))), str(abs(c)))
+        if e:
+            power = "t" if e == 1 else f"t^{e}"
+            factors.insert(draw(st.integers(0, len(factors))), power)
+        joined = "*".join(draw(_space) + f + draw(_space) for f in factors)
+        pieces.append(("- " if c < 0 else "") + joined)
+    text = draw(_space) + (draw(_space) + "+").join(pieces) + draw(_space)
+    return terms, text
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([F2, ZT]).flatmap(lambda ring: st.tuples(st.just(ring), _written_terms(ring))))
+def test_parse_round_trips_written_terms(case):
+    ring, (terms, text) = case
+    want = NcPoly.zero(ring)
+    for c, e, w in terms:
+        want = want + NcPoly(ring, {tuple(w): {e: c}})
+    got = parse(text, ring)
+    assert got == want
+    assert parse(got.render(), ring) == got
+
+
 def test_parse_f2_reduces_mod_two():
     assert parse("2*x3", F2).is_zero()
     assert parse("x1 + x1", F2).is_zero()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -48,6 +49,11 @@ def trefoil():
 @pytest.fixture(scope="module")
 def k2():
     return compute_dga(refdata.k2_front(), F2)
+
+
+@pytest.fixture(scope="module")
+def m942():
+    return compute_dga(refdata.m942_front(), F2)
 
 
 # ---- matrix arithmetic ----
@@ -146,6 +152,48 @@ def test_random_plat_augmentations_match_oracle(sw):
     graded = [eps for eps in oracle
               if all(pres.degree_of(x) == 0 for x, v in eps.items() if v)]
     assert find_augmentations(g, graded=True) == graded
+
+
+_EMPTY = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"  # of "[]"
+
+# sha256 of repr(find_augmentations(g, graded)), recorded before levels kept
+# their zeros; ungraded T(7,-9) and the larger torus knots do not finish
+_AUG_DIGESTS = [
+    ("T(5,-8)", lambda: torus_dga(5, 8)[1], False, _EMPTY),
+    *[(f"T({p},-{q})", lambda p=p, q=q: torus_dga(p, q)[1], True, _EMPTY)
+      for p, q in ((5, 8), (7, 9), (9, 11), (11, 13), (13, 15))],
+    *[(name, make, graded, _EMPTY) for name, make in (
+        ("k1", lambda: compute_dga(refdata.k1_front(), F2)),
+        ("k2", lambda: compute_dga(refdata.k2_front(), F2)),
+        ("m942", lambda: compute_dga(refdata.m942_front(), F2)))
+      for graded in (False, True)],
+    ("trefoil", lambda: compute_dga(build_front(parse_plat("2,2,2", 4)), F2), False,
+     "ec24a46bbef0f1c9a44b000e16b5332d4710c0500ed5c5a470300fb5b4039c23"),
+    ("trefoil", lambda: compute_dga(build_front(parse_plat("2,2,2", 4)), F2), True,
+     "c08fa5ce32eb9ccf07b2c9ebcfdf231005324d1afc56c8c36a291b1b13659644"),
+    ("2,2,2,2,2", lambda: compute_dga(build_front(parse_plat("2,2,2,2,2", 4)), F2), False,
+     "a30079660e2223a475417ea6739c20ced0d40dc4cb16bdd3fe5596c998c96107"),
+    ("2,2,2,2,2", lambda: compute_dga(build_front(parse_plat("2,2,2,2,2", 4)), F2), True,
+     "d11f29a021e700659e36f90a478e81ba26adc6306c22bbcd8143c97d9f0376f1"),
+]
+
+
+@pytest.mark.parametrize("make,graded,digest", [c[1:] for c in _AUG_DIGESTS],
+                         ids=[f"{c[0]}-{'graded' if c[2] else 'ungraded'}" for c in _AUG_DIGESTS])
+def test_augmentations_are_pinned(make, graded, digest):
+    found = find_augmentations(make(), graded=graded)
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+
+def test_augmentation_budget_stops_inconclusive():
+    g = torus_dga(7, 9)[1]
+    assert reps_module._augmentations(g, False, 10 ** 5) == ([], "budget", 10 ** 5)
+    trefoil = compute_dga(build_front(parse_plat("2,2,2", 4)), F2)
+    every, reason, nodes = reps_module._augmentations(trefoil, False, 10 ** 8)
+    assert (every, reason) == (find_augmentations(trefoil), "exhausted")
+    # a budget short of the whole space keeps the solutions found before it ran out
+    found, reason, _ = reps_module._augmentations(trefoil, False, nodes - 1)
+    assert reason == "budget" and found == every[:len(found)] and len(found) < len(every)
 
 
 def test_exhaustive_oracle_refuses_large_inputs(k2):
@@ -327,6 +375,27 @@ def test_search_charges_failed_subtrees_without_replaying(monkeypatch):
                         lambda base, units: solves.append(base) or real(base, units))
     assert _search(rs, 2, 10 ** 6)[1:] == ("found", 553)
     assert len(solves) == 3
+
+
+@pytest.mark.parametrize("search,most", [
+    (lambda: find_augmentations(torus_dga(5, 8)[1]), 6),
+    (lambda: _search(torus_dga(3, 8)[1], 2, 10 ** 8), 96),
+], ids=["T(5,-8) n=1", "T(3,-8) n=2"])
+def test_search_tabulates_each_affine_map_once(search, most, monkeypatch):
+    # T(5,-8) visits its solved levels 18,518 times and T(3,-8) 8,943 times
+    for n in (1, 2):
+        reps_module._product_table(n)  # built from subset-XOR tables too
+    maps = []
+    real = reps_module._subset_xor
+    monkeypatch.setattr(reps_module, "_subset_xor",
+                        lambda base, units: maps.append((base, *units)) or real(base, units))
+    search()
+    assert 0 < len(maps) <= most
+    assert len(set(maps)) == len(maps)
+
+
+def test_search_m942_dim_three_runs_out_of_budget(m942):
+    assert _search(m942, 3, 10 ** 8) == (None, "budget", 10 ** 8)
 
 
 def test_search_rejects_nonpositive_dimension(trefoil):
