@@ -10,9 +10,10 @@ on both arcs, so this interval sweep enumerates all of them.
 
 An event that touches neither slot of a state leaves it as it is, so each
 state is filed under the next event to the west that touches one of its
-slots, and the sweep visits only those events.  The cap on states, the
-number of events times the number of slots, still counts every partial
-disk that spans a column, filed or not.
+slots, and the sweep visits only those events.  Each successor state is
+filed as it is made.  The cap on states, the number of events times the
+number of slots, still counts every partial disk that spans a column,
+filed or not, and is checked after each visited event.
 
 The corner word is read counterclockwise from the positive corner: upper
 arc east to west, then lower arc west to east.  Over Z[t,t^-1] a negative
@@ -61,18 +62,14 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
     """Sum of corner words of disks whose positive corner is event j.
 
     `touch[k][s]` is the last event west of event k with slot s among its
-    slots, or -1.  `live` counts the partial disks that span the column west
-    of the last visited event.  Only a visited event changes that count, so
-    checking it against `cap` there refuses exactly where a column-by-column
-    sweep would.
+    slots, or -1.  Each successor state is filed as it is made, under the
+    next event west that touches one of its slots.  `live` counts the
+    partial disks that span the column west of the last visited event.  Only
+    a visited event changes that count, so checking it against `cap` after
+    each visited event refuses exactly where a column-by-column sweep would.
     """
     ev = front.events[j]
     acc: dict[Word, Coef] = {}
-
-    def emit(word: Word, sign: int):
-        slot = acc.setdefault(word, {})
-        slot[0] = slot.get(0, 0) + sign
-
     # state = (upper slot, lower slot, upper-arc corners, lower-arc corners, sign)
     u, l = ev.slots
     west = touch[j]
@@ -87,44 +84,50 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
             continue
         e = front.events[k]
         a, b = e.slots
-        new_states = []
-        for st in states:
-            u, l, up, lo, sg = st
-            if e.kind == "X":
-                if a == u and b == l:
-                    continue  # the disk would pinch shut; not admissible
-                if b == u:
-                    new_states.append((a, l, up, lo, sg))  # slide first
-                    # of the 16 sign rules keyed by (arc, parity) exactly
-                    # two give d^2 = 0 over Z[t,t^-1]: this one (upper arc,
-                    # even parity) and its pointwise negation, which differ
-                    # by a diagonal change; this one reproduces the bundled
-                    # 23-generator data up to diagonal equivalence
-                    csg = -sg if ring == ZT and parity[e.name] == 0 else sg
-                    new_states.append((u, l, up + (e.name,), lo, csg))
-                elif a == u:
-                    new_states.append((b, l, up, lo, sg))
-                elif a == l:
-                    new_states.append((u, b, up, lo, sg))
-                    new_states.append((u, l, up, lo + (e.name,), sg))
-                elif b == l:
-                    new_states.append((u, a, up, lo, sg))
-                else:
-                    new_states.append(st)
-            elif e.kind == "L":
-                if a == u and b == l:
-                    emit(up + tuple(reversed(lo)), sg)
-                elif a in (u, l) or b in (u, l):
-                    continue  # boundary arc would have to double back
-                else:
-                    new_states.append(st)
-            else:
-                new_states.append(st)
         west = touch[k]
-        for st in new_states:
-            wu, wl = west[st[0]], west[st[1]]
-            buckets[wu if wu > wl else wl].append(st)
-        live += len(new_states) - len(states)
+        wa, wb = west[a], west[b]
+        born = 0
+        # a state is filed here only if e touches one of its slots, and
+        # compute_dga refuses a right cusp west of another event: e is X or L
+        if e.kind == "X":
+            name = e.name
+            # of the 16 sign rules keyed by (arc, parity) exactly two give
+            # d^2 = 0 over Z[t,t^-1]: this one (upper arc, even parity) and
+            # its pointwise negation, which differ by a diagonal change; this
+            # one reproduces the bundled 23-generator data up to diagonal
+            # equivalence
+            flip = ring == ZT and parity[name] == 0
+            for u, l, up, lo, sg in states:
+                if a == u:
+                    if b == l:
+                        continue  # the disk would pinch shut; not admissible
+                    wl = west[l]
+                    buckets[wb if wb > wl else wl].append((b, l, up, lo, sg))
+                    born += 1
+                elif b == u:
+                    wl = west[l]
+                    buckets[wa if wa > wl else wl].append((a, l, up, lo, sg))  # slide first
+                    buckets[wb if wb > wl else wl].append(
+                        (u, l, up + (name,), lo, -sg if flip else sg))
+                    born += 2
+                elif a == l:
+                    wu = west[u]
+                    buckets[wu if wu > wb else wb].append((u, b, up, lo, sg))
+                    buckets[wu if wu > wa else wa].append((u, l, up, lo + (name,), sg))
+                    born += 2
+                else:  # b == l
+                    wu = west[u]
+                    buckets[wu if wu > wa else wa].append((u, a, up, lo, sg))
+                    born += 1
+        else:
+            # a left cusp closes the disk joining exactly its two slots; a
+            # boundary arc meeting it anywhere else would have to double back
+            for u, l, up, lo, sg in states:
+                if a == u and b == l:
+                    word = up + tuple(reversed(lo))
+                    slot = acc.setdefault(word, {})
+                    slot[0] = slot.get(0, 0) + sg
+        live += born - len(states)
         if live > cap:
             raise RuntimeError(
                 f"disk sweep for {ev.name} exceeded {cap} states per slice"
@@ -290,7 +293,8 @@ def deserialize(text: str) -> DGA:
     if ring is None:
         raise ValueError("missing ring line")
     for g in gens:
-        diff.setdefault(g, NcPoly.zero(ring))
+        if g not in diff:
+            diff[g] = NcPoly.zero(ring)
     pres = GradedPresentation(tuple(gens), grading, ring, modulus)
     return DGA(pres, diff)
 

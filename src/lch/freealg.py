@@ -108,7 +108,7 @@ class NcPoly:
         self.ring = ring
         clean: dict[Word, Coef] = {}
         for word, coef in (terms or {}).items():
-            c = _norm_coef(ring, dict(coef))
+            c = _norm_coef(ring, coef)
             if c:
                 clean[tuple(word)] = c
         self.terms = clean
@@ -345,39 +345,48 @@ def signed_derivation(
 
     Over F2 signs vanish and no grading is consulted.  Over ZT the sign in
     front of w[:i]*d(w[i])*w[i+1:] is (-1)^(degree of the prefix); only the
-    parity matters, so a Z/m grading with m even is fine too.
+    parity matters, so a Z/m grading with m even is fine too.  `d` is read
+    once, here: each nonzero d(g) is flattened into (word, exponent,
+    coefficient) triples, so later changes to `d` do not reach the result.
     """
     ring = pres.ring
     if ring == ZT and pres.modulus % 2:
         raise GradingError("signs need a Z or even-modulus grading")
     grading = pres.grading or {}
+    flat = {g: [(w, e, c) for w, coef in dg.terms.items() for e, c in coef.items()]
+            for g, dg in d.items() if dg.terms}
 
     def derive(p: NcPoly) -> NcPoly:
         if p.ring != ring:
             raise ValueError(f"ring mismatch: {p.ring} vs {ring}")
-        acc: dict[Word, Coef] = {}
+        acc: dict[tuple[Word, int], int] = {}
         for w, coef in p.terms.items():
             parity: int | None = 0
             for i, g in enumerate(w):
-                dg = d.get(g)
-                if dg is not None and dg.terms:
-                    c = coef
+                dg = flat.get(g)
+                if dg is not None:
+                    sign = 1
                     if ring == ZT:
                         if parity is None:
                             raise GradingError(
                                 f"sign for position {i} in {w} needs graded prefix"
                             )
                         if parity % 2:
-                            c = {e: -v for e, v in c.items()}
+                            sign = -1
                     head, tail = w[:i], w[i + 1 :]
-                    for w2, c2 in dg.terms.items():
-                        slot = acc.setdefault(head + w2 + tail, {})
-                        _coef_add(slot, _coef_mul(c, c2))
+                    for e1, c1 in coef.items():
+                        c1 *= sign
+                        for w2, e2, c2 in dg:
+                            key = (head + w2 + tail, e1 + e2)
+                            acc[key] = acc.get(key, 0) + c1 * c2
                 if ring == ZT and parity is not None:
                     if g in grading:
                         parity += grading[g]
                     else:
                         parity = None
-        return NcPoly(ring, acc)
+        terms: dict[Word, Coef] = {}
+        for (w, e), c in acc.items():
+            terms.setdefault(w, {})[e] = c
+        return NcPoly(ring, terms)
 
     return derive

@@ -124,6 +124,25 @@ def test_verify_d2_failure(tmp_path, capsys):
     assert code == EXIT_FAIL and "FAILED" in out
 
 
+def _k2_with_d_x2_moved():
+    text = pathlib.Path(K2_DGA).read_text()
+    assert text.count("d x2 = x1\n") == 1
+    return text.replace("d x2 = x1\n", "d x2 = x3\n")
+
+
+# the ZT table's residue carries the Leibniz sign of the odd prefix x3
+@pytest.mark.parametrize("table,stdout", [
+    (_k2_with_d_x2_moved, "FAILED d2(x2) = x1\n"),
+    (lambda: "ring ZT\ngen x1 1\ngen x2 0\ngen x3 1\n"
+             "d x1 = x3.x2\nd x2 = t\nd x3 = 1\n",
+     "FAILED d2(x1) = x2 + -1*t^1*x3\n"),
+])
+def test_verify_d2_failure_residue_is_pinned(tmp_path, capsys, table, stdout):
+    bad = tmp_path / "bad.dga"
+    bad.write_text(table())
+    assert run(capsys, "verify", "d2", "--dga", str(bad)) == (EXIT_FAIL, stdout, "")
+
+
 @pytest.mark.parametrize("head,why", [
     ("ring F2\nmod -4", "line 2: negative modulus"),
     ("ring ZT\nmod -4", "line 2: negative modulus"),

@@ -332,6 +332,48 @@ def test_leibniz_identity_on_words(u, v, grading, d):
     assert derive(pu * pv) == derive(pu) * pv + (pu * derive(pv)).scale(sign)
 
 
+def _reference_derive(pres: GradedPresentation, d, p: NcPoly) -> NcPoly:
+    """The Leibniz rule term by term, on Laurent coefficients as dicts."""
+
+    def add_into(acc, other):
+        for e, c in other.items():
+            v = acc.get(e, 0) + c
+            if v:
+                acc[e] = v
+            else:
+                acc.pop(e, None)
+
+    def mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            add_into(out, {e1 + e2: c1 * c2 for e2, c2 in b.items()})
+        return out
+
+    acc = {}
+    for w, coef in p.terms.items():
+        for i, g in enumerate(w):
+            dg = d.get(g)
+            if dg is None or dg.is_zero():
+                continue
+            c = coef
+            if pres.ring == ZT and pres.word_degree(w[:i]) % 2:
+                c = {e: -v for e, v in c.items()}
+            for w2, c2 in dg.terms.items():
+                add_into(acc.setdefault(w[:i] + w2 + w[i + 1:], {}), mul(c, c2))
+    return NcPoly(pres.ring, acc)
+
+
+@given(_poly_zt, _grading, _dmap)
+@settings(max_examples=80)
+def test_derive_matches_reference_on_laurent_coefficients(p, grading, d):
+    pres = GradedPresentation(tuple(_NAMES), grading=grading, ring=ZT)
+    assert signed_derivation(pres, d)(p) == _reference_derive(pres, d, p)
+    pres2 = GradedPresentation(tuple(_NAMES), grading=grading, ring=F2)
+    d2 = {g: specialize(v) for g, v in d.items()}
+    p2 = specialize(p)
+    assert signed_derivation(pres2, d2)(p2) == _reference_derive(pres2, d2, p2)
+
+
 @given(_poly_zt, _poly_zt)
 @settings(max_examples=60)
 def test_specialize_is_ring_map(p, q):
