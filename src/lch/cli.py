@@ -11,6 +11,7 @@ message and exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -305,9 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    # the parser is built once per process, on the first call, and reused:
+    # parse_args keeps no state between calls, and building the tree costs
+    # far more than parsing with it
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:  # bad file or argument contents

@@ -20,7 +20,8 @@ for maximal-tb negative torus knots is built directly from the labeled
 front.  Finally, the nontriviality witness for the three-generator quotient
 algebra is an operator action on a countable basis v_0, v_1, ...; since the
 operators roughly double basis indices, we truncate to N coordinates and
-track, per composed word, the largest index whose image is still exact.
+track, per composed word, the largest index whose image is still exact;
+only the rows up to that index are computed.
 
 Everything is over F2.  Search routines never claim nonexistence: a failed
 search within budget is inconclusive by design.
@@ -105,18 +106,30 @@ def decode_matrix(code: int, n: int) -> Mat:
     return tuple((code >> (i * n)) & mask for i in range(n))
 
 
+def _image(images: Mapping, g: str):
+    img = images.get(g)
+    if img is None:
+        raise ValueError(f"no image for generator {g}")
+    return img
+
+
 def evaluate_poly(p: NcPoly, images: Mapping[str, Mat], n: int) -> Mat:
-    """Value of p under the algebra map sending generators to images, 1 to I."""
+    """Value of p under the algebra map sending generators to images, 1 to I.
+
+    Only the first n rows are computed, which for n x n images is all of
+    them.  Row i of a product reads only row i of its first factor, so each
+    word starts from the first n rows of its first letter's image.
+    """
     if p.ring != F2:
         raise ValueError("matrix evaluation is defined over F2 only")
     acc = mat_zero(n)
     for word in p.terms:
-        m = mat_identity(n)
-        for g in word:
-            img = images.get(g)
-            if img is None:
-                raise ValueError(f"no image for generator {g}")
-            m = mat_mul(m, img)
+        if not word:
+            m = mat_identity(n)
+        else:
+            m = _image(images, word[0])[:n]
+            for g in word[1:]:
+                m = mat_mul(m, _image(images, g))
         acc = mat_add(acc, m)
     return acc
 
@@ -593,15 +606,18 @@ def mat2_presentation_check() -> bool:
         return m
 
     elements = [frozenset(s) for r in range(5) for s in itertools.combinations(_BASIS, r)]
-    if len(elements) != 16 or len({phi(e) for e in elements}) != 16:
+    image = {e: phi(e) for e in elements}
+    if len(elements) != 16 or len(set(image.values())) != 16:
         return False
+    # every reduced product is a subset of the basis, so one of the elements
+    reduced = {(wx, wy): _reduce_word(wx + wy) for wx in _BASIS for wy in _BASIS}
     for x in elements:
         for y in elements:
             prod: frozenset = frozenset()
             for wx in x:
                 for wy in y:
-                    prod ^= _reduce_word(wx + wy)
-            if phi(prod) != mat_mul(phi(x), phi(y)):
+                    prod ^= reduced[wx, wy]
+            if image[prod] != mat_mul(image[x], image[y]):
                 return False
     return True
 
@@ -615,8 +631,9 @@ class TruncatedOp:
     rows[i] is the image of v_i as a bitmask over v_0..v_{N-1}, so a word
     acts as the mat_mul product of its letters' rows, leftmost letter first.
     Basis vectors pushed past the truncation are silently dropped, so results
-    are only trusted on v_0..v_{valid_domain}.  The affine bound index ->
-    slope*index + offset dominates the operator's untruncated index growth.
+    are only trusted on v_0..v_{valid_domain}, and the checks compute only
+    those rows.  The affine bound index -> slope*index + offset dominates
+    the operator's untruncated index growth.
     """
 
     N: int
@@ -632,7 +649,11 @@ class TruncatedOp:
 
     @property
     def valid_domain(self) -> int:
-        return min(self.N - 1, (self.N - 1 - self.offset) // self.slope)
+        return _valid_domain(self.N, self.slope, self.offset)
+
+
+def _valid_domain(N: int, slope: int, offset: int) -> int:
+    return min(N - 1, (N - 1 - offset) // slope)
 
 
 def _op_from_map(N: int, fn, slope: int, offset: int) -> TruncatedOp:
@@ -656,19 +677,21 @@ def build_R_truncated(N: int) -> dict[str, TruncatedOp]:
     """
     if N < 8:
         raise ValueError("need N >= 8")
-    ops = {
+    p = _op_from_map(N, lambda i: (i - 1,) if i else (), 1, 0)
+    s = _op_from_map(N, lambda i: (i + 1, 2 * i + 2), 2, 2)
+    # the two-case diagram formulas collapse to uniform shifts: acting by
+    # a sends v_m to v_{m-1} on both parities, and b sends v_m to
+    # v_{m+1} + v_{2m+2}, so a and b agree with p and s pointwise and share
+    # their operators
+    return {
         "f": _op_from_map(N, lambda i: (2 * i,), 2, 0),
         "g": _op_from_map(N, lambda i: (2 * i + 1,), 2, 1),
-        "p": _op_from_map(N, lambda i: (i - 1,) if i else (), 1, 0),
-        "s": _op_from_map(N, lambda i: (i + 1, 2 * i + 2), 2, 2),
-        # the two-case diagram formulas collapse to uniform shifts: acting by
-        # a sends v_m to v_{m-1} on both parities, and b sends v_m to
-        # v_{m+1} + v_{2m+2}, so a and b agree with p and s pointwise
-        "a": _op_from_map(N, lambda i: (i - 1,) if i else (), 1, 0),
-        "b": _op_from_map(N, lambda i: (i + 1, 2 * i + 2), 2, 2),
+        "p": p,
+        "s": s,
+        "a": p,
+        "b": s,
         "c": _op_from_map(N, lambda i: (i // 2,) if i % 2 == 0 else (), 1, 0),
     }
-    return ops
 
 
 def _growth(p: NcPoly, ops: Mapping[str, TruncatedOp]) -> tuple[int, int]:
@@ -683,7 +706,8 @@ def _growth(p: NcPoly, ops: Mapping[str, TruncatedOp]) -> tuple[int, int]:
     for word in p.terms:
         s, o = 1, 0
         for g in word:
-            s, o = s * ops[g].slope, ops[g].slope * o + ops[g].offset
+            op = _image(ops, g)
+            s, o = s * op.slope, op.slope * o + op.offset
         slope, offset = max(slope, s), max(offset, o)
     return slope, offset
 
@@ -723,17 +747,18 @@ class RRelationReport:
 
 
 def _check(ops: Mapping[str, TruncatedOp], N: int, table) -> RRelationReport:
+    """Check each left = right on its valid domain, computing only those rows."""
     if any(op.N != N for op in ops.values()):
         raise ValueError("mismatched truncation sizes")
     rows = {key: op.rows for key, op in ops.items()}
     checks = []
     for name, left, right in table:
         sides = [parse(left, F2), parse(right, F2)]
-        value = evaluate_poly(sides[0] + sides[1], rows, N)
-        upto = min(TruncatedOp(N, value, *_growth(q, ops)).valid_domain for q in sides)
+        upto = min(_valid_domain(N, *_growth(q, ops)) for q in sides)
         if upto < 0:
             raise ValueError(f"empty valid domain for {name}; increase N")
-        checks.append(RRelationCheck(name, upto, not any(value[:upto + 1])))
+        value = evaluate_poly(sides[0] + sides[1], rows, upto + 1)
+        checks.append(RRelationCheck(name, upto, not any(value)))
     return RRelationReport(all(c.ok for c in checks), tuple(checks))
 
 

@@ -184,7 +184,7 @@ def test_criterion_08_truncated_operator_model():
         corrupted["b"] = _op_from_map(256, lambda i: (i + 1,), 2, 2)
         assert not check_R_relations(corrupted, 256).ok
 
-    _criterion(8, "operator model verifies; corrupted mutation fails", 0.25, body)
+    _criterion(8, "operator model verifies; corrupted mutation fails", 0.1, body)
 
 
 def test_criterion_09_no_finite_dimensional_representation():

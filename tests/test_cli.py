@@ -452,6 +452,53 @@ def test_help_documents_commands(capsys):
         assert cmd in out
 
 
+def _outcome(argv):
+    # stdout, stderr and exit code of one in-process call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def _outcome_alone(argv):
+    # the same command in a process of its own
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lch", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_calls_in_one_process_match_calls_alone(tmp_path, monkeypatch):
+    # main builds its parser once per process: calls in sequence must not
+    # see each other's arguments, defaults or errors
+    monkeypatch.setenv("COLUMNS", "100")
+    table = str(tmp_path / "t.dga")
+    assert _outcome(["dga", "--strands", "4", "2,2,2", "--out", table])[2] == EXIT_OK
+    sequence = [
+        ["search", "aug", "--graded", "--dga", table],
+        ["search", "aug", "--dga", table],
+        ["verify", "R", "--n", "128"],
+        ["verify", "R"],
+        ["frobnicate"],
+        ["invariants", "--strands", "4", "2,2,2"],
+        ["--help"],
+    ]
+    got = [_outcome(argv) for argv in sequence]
+    assert got == [_outcome_alone(argv) for argv in sequence]
+    graded, ungraded, small, default, unknown, valid, helped = got
+    assert graded[0].endswith("\n5 augmentation(s)\n")
+    assert ungraded[0].endswith("\n20 augmentation(s)\n")
+    assert small[0].count("ok") == 7 and "v_0..v_62" in small[0]
+    assert default[0].count("ok") == 7 and "v_0..v_126" in default[0]
+    assert unknown[2] == EXIT_USAGE and valid == ("tb = 1\nr = 0\n", "", EXIT_OK)
+    assert helped[2] == 0
+    for cmd in ("dga", "invariants", "grading", "verify", "search", "torus-dga"):
+        assert cmd in helped[0]
+
+
 def test_thread_variable_is_not_read(monkeypatch, capsys):
     monkeypatch.setenv("LCH_THREADS", "abc")
     code, out, _ = run(capsys, "invariants", "--strands", "4", "2,2,2")

@@ -6,7 +6,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lch import refdata
 from lch import reps as reps_module
@@ -556,6 +556,63 @@ def test_wrong_f_fails_exactly_its_identities(monkeypatch):
     report = verify_R_relations(256)
     assert not report.ok
     assert [c.name for c in report.checks if not c.ok] == ["s o p = f + 1", "p o g = f"]
+
+
+def _full_evaluation_lines(ops, N, table):
+    # the operator model evaluated in full: every word starts from the
+    # identity and all N rows are computed, then sliced to the valid domain
+    rows = {key: op.rows for key, op in ops.items()}
+    checks = []
+    for name, left, right in table:
+        sides = [parse(left, F2), parse(right, F2)]
+        value = mat_zero(N)
+        for word in (sides[0] + sides[1]).terms:
+            m = mat_identity(N)
+            for g in word:
+                m = mat_mul(m, rows[g])
+            value = mat_add(value, m)
+        upto = min(TruncatedOp(N, value, *reps_module._growth(q, ops)).valid_domain
+                   for q in sides)
+        checks.append(reps_module.RRelationCheck(name, upto, not any(value[:upto + 1])))
+    return reps_module.RRelationReport(all(c.ok for c in checks), tuple(checks)).lines()
+
+
+_R_MUTANTS = {
+    "real": lambda N: {},
+    "corrupted_b": lambda N: {"b": _op_from_map(N, lambda i: (i + 1,), 2, 2)},
+    "wrong_f": lambda N: {"f": _op_from_map(N, lambda i: (2 * i + 1,), 2, 1)},
+}
+
+
+@pytest.mark.parametrize("N", [64, 128, 1024])
+@pytest.mark.parametrize("family", sorted(_R_MUTANTS))
+def test_row_restriction_matches_full_evaluation(family, N):
+    ops = {**build_R_truncated(N), **_R_MUTANTS[family](N)}
+    table = reps_module._R_CHECKS
+    assert reps_module._check(ops, N, table).lines() == _full_evaluation_lines(ops, N, table)
+    assert check_R_relations(ops, N).lines() == _full_evaluation_lines(ops, N, table[:4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([64, 100, 128]), key=st.sampled_from("fgpsabc"),
+       row=st.integers(0, 10 ** 6), bit=st.integers(0, 10 ** 6))
+# row 126 is the last one checked at N = 256, and this flip fails relation 1
+# there and nowhere below
+@example(N=256, key="c", row=126, bit=0)
+def test_row_restriction_matches_full_evaluation_on_bit_flips(N, key, row, bit):
+    ops = dict(build_R_truncated(N))
+    rows = list(ops[key].rows)
+    rows[row % N] ^= 1 << (bit % N)
+    ops[key] = TruncatedOp(N, tuple(rows), ops[key].slope, ops[key].offset)
+    table = reps_module._R_CHECKS
+    assert reps_module._check(ops, N, table).lines() == _full_evaluation_lines(ops, N, table)
+
+
+def test_missing_operator_is_named():
+    ops = dict(build_R_truncated(64))
+    del ops["c"]
+    with pytest.raises(ValueError, match="no image for generator c"):
+        check_R_relations(ops, 64)
 
 
 def test_truncated_op_growth_validation():
