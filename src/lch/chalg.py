@@ -95,10 +95,8 @@ class RelationSet:
         return RelationSet(self.presentation, self.relations + ((name, value),), self.source)
 
     def adjoin_all(self, items: Iterable[tuple[str, NcPoly]]) -> "RelationSet":
-        rs = self
-        for name, value in items:
-            rs = rs.adjoin(name, value)
-        return rs
+        extra = tuple((name, value) for name, value in items)
+        return RelationSet(self.presentation, self.relations + extra, self.source)
 
 
 def char_algebra(g: DGA) -> RelationSet:

@@ -3,25 +3,16 @@
 Three families live here.  Matrix representations over F2 are searched for
 and verified with matrices stored as tuples of row bitmasks (entry (i, j) is
 bit j of row i); augmentations, the one-dimensional case, are every solution
-of the same search.  The search assigns generators in order and checks each
-relation once its last generator is assigned.  For n <= 3, a level is solved
-when it closes a relation and its generator occurs at most once in every
-word of the relations it closes: those relations are then affine in the new image, so
-n^2 + 1 evaluations give their value at all 2^(n^2) candidates and the zeros
-are the survivors.  Those zeros depend only on the images of the other
-generators in the closing words, so a solved level keeps them under those
-images, and each distinct affine map is tabulated once per search.  Other
-levels, and every level for n >= 4, are enumerated lazily, one candidate at
-a time.  The subtree below a level reads only the images of the generators
-that later relations mention; where one of them drops out of that frontier,
-a failed subtree is remembered by the frontier's images and charged again,
-not replayed, when they recur.  The explicit two-dimensional homomorphism
-for maximal-tb negative torus knots is built directly from the labeled
-front.  Finally, the nontriviality witness for the three-generator quotient
-algebra is an operator action on a countable basis v_0, v_1, ...; since the
-operators roughly double basis indices, we truncate to N coordinates and
-track, per composed word, the largest index whose image is still exact;
-only the rows up to that index are computed.
+of the same search.  It assigns generators in order, checks each relation
+once its last generator is assigned, solves the levels whose relations are
+affine in the new image, and remembers failed subtrees and solved levels by
+the images they read (see search_matrix_rep).  The explicit
+two-dimensional homomorphism for maximal-tb negative torus knots is built
+directly from the labeled front.  Finally, the nontriviality witness for the
+three-generator quotient algebra is an operator action on a countable basis
+v_0, v_1, ...; since the operators roughly double basis indices, we truncate
+to N coordinates and track, per composed word, the largest index whose image
+is still exact; only the rows up to that index are computed.
 
 Everything is over F2.  Search routines never claim nonexistence: a failed
 search within budget is inconclusive by design.
@@ -292,18 +283,9 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
     # that levels and visits with equal maps share one tuple
     solved: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def solve_level(system, reads: tuple[int, ...], seen: dict[int, tuple[int, ...]]):
-        # the zeros depend only on the images of reads, the other generators
-        # of the closing words, so a visit that finds them as before reuses
-        # the zeros found then
-        key = 0
-        for j in reads:
-            key = key << nn | images[j]
-        zeros = seen.get(key)
-        if zeros is not None:
-            return zeros
-        # the closing relations, packed nn bits apiece into one int, are an
-        # affine function of X: base at X = 0, plus units[b] for each bit b
+    def solve_level(system):
+        # the closing relations, relation j at bit j * nn of one int, are
+        # affine in X: base at X = 0, plus units[b] for each bit b
         base = 0
         units = [0] * nn
         for shift, const, plain, linear in system:
@@ -329,13 +311,30 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
         if zeros is None:
             zeros = solved[affine] = tuple(
                 c for c, v in enumerate(_subset_xor(base, units)) if not v)
-        seen[key] = zeros
         return zeros
 
-    levels = []
+    # the levels below i read only the images of frontier i: the generators
+    # up to i that a relation closing after i mentions.  Where the frontier
+    # stops growing, some generator has left it, so equal images on it can
+    # recur; there a failed subtree is remembered by those images and its
+    # node count charged again instead of replaying it.  A solved level's
+    # zeros depend only on its reads, the other generators in its closing
+    # words, and are kept where those are fewer than the frontier entering
+    # it, whose images cannot recur before a solution
+    last_use = [-1] * len(gens)
     for i, checks in enumerate(schedule):
+        for k in checks:
+            for w in compiled[k][1]:
+                for j in w:
+                    last_use[j] = i
+    slot = [(count - 1) << i * nn for i in range(len(gens))]
+    levels = []
+    frontier = []
+    width = 0
+    for i, checks in enumerate(schedule):
+        reads = {j for k in checks for w in compiled[k][1] for j in w} - {i}
         if not checks:
-            levels.append(functools.partial(range, count))
+            levels.append(range(count))
         elif mul is not None and all(w.count(i) <= 1 for k in checks for w in compiled[k][1]):
             system = []
             for j, k in enumerate(checks):
@@ -343,69 +342,53 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
                 plain = [w for w in words if i not in w]
                 linear = [(w[:w.index(i)], w[w.index(i) + 1:]) for w in words if i in w]
                 system.append((j * nn, const, plain, linear))
-            reads = tuple(sorted({j for k in checks for w in compiled[k][1] for j in w} - {i}))
-            levels.append(functools.partial(solve_level, system, reads, {}))
+            levels.append((system, sum(slot[j] for j in reads), {} if len(reads) < width else None))
         else:
-            levels.append(functools.partial(enumerate_level, i, checks))
-
-    # the levels below i read only the images of frontier[i]: the generators
-    # up to i that a relation closing after i mentions.  Where the frontier
-    # stops growing, some generator has left it, so equal images on it can
-    # recur; there a subtree that yielded no solution is remembered by those
-    # images and its node count is charged again instead of replaying it
-    last_use = [-1] * len(gens)
-    for i, checks in enumerate(schedule):
-        for k in checks:
-            for w in compiled[k][1]:
-                for j in w:
-                    last_use[j] = i
-    frontier: list[Optional[tuple[int, ...]]] = []
-    width = 0
-    for i in range(len(gens)):
-        reads = tuple(j for j in range(i + 1) if last_use[j] > i)
-        frontier.append(reads if len(reads) <= width else None)
+            levels.append(None)
+        reads = [j for j in range(i + 1) if last_use[j] > i]
+        frontier.append(sum(slot[j] for j in reads) if len(reads) <= width else None)
         width = len(reads)
     memo: list[dict[int, int]] = [{} for _ in gens]
 
-    # depth-first over levels; tried[i] is the next code plain enumeration
-    # would try at level i, so skipped candidates are charged as they pass;
-    # keys[i], entered[i] and hits_entered[i] are the frontier images packed
-    # nn bits apiece, the node count and the solution count at the entry of
-    # level i + 1
+    # depth-first over levels; packed holds the images of levels up to i,
+    # image j at bit j * nn, and a key is packed masked to what it reads;
+    # tried[i] is the next code plain enumeration would try at level i, so
+    # skipped candidates are charged as they pass; entered[i] and
+    # hits_entered[i] are the node and hit counts entering level i + 1
     last = len(gens) - 1
     pending = [iter(())] * len(gens)
     tried = [0] * len(gens)
-    keys = [0] * len(gens)
     entered = [0] * len(gens)
     hits_entered = [0] * len(gens)
-    nodes = hits = 0
-    i = 0
-    pending[0] = iter(levels[0]())
+    below = [(1 << i * nn) - 1 for i in range(len(gens))]
+    nodes = hits = packed = i = 0
+    level = levels[0]
+    pending[0] = (iter(solve_level(level[0])) if type(level) is tuple
+                  else enumerate_level(0, schedule[0]) if level is None else iter(level))
     while True:
         cand = next(pending[i], None)
-        stop = count if cand is None else cand + 1
-        nodes += stop - tried[i]
-        tried[i] = stop
-        if nodes > budget:
-            return "budget", budget
         if cand is None:
+            nodes += count - tried[i]
+            if nodes > budget:
+                return "budget", budget
             if i == 0:
                 return "exhausted", nodes
             i -= 1
             if frontier[i] is not None and hits == hits_entered[i]:
-                memo[i][keys[i]] = nodes - entered[i]
+                memo[i][packed & frontier[i]] = nodes - entered[i]
             continue
+        nodes += cand + 1 - tried[i]
+        if nodes > budget:
+            return "budget", budget
+        tried[i] = cand + 1
         images[i] = cand
         if i == last:
             hits += 1
             yield tuple(images), nodes
             continue
+        packed = packed & below[i] | cand << i * nn
         if frontier[i] is not None:
-            key = 0
-            for j in frontier[i]:
-                key = key << nn | images[j]
-            keys[i] = key
-            charged = memo[i].get(key)
+            charged = memo[i].get(packed & frontier[i])
             if charged is not None:
                 nodes += charged
                 if nodes > budget:
@@ -414,7 +397,21 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
             entered[i] = nodes
             hits_entered[i] = hits
         i += 1
-        pending[i] = iter(levels[i]())
+        level = levels[i]
+        if type(level) is tuple:
+            system, mask, seen = level
+            if seen is None:
+                zeros = solve_level(system)
+            else:
+                key = packed & mask
+                zeros = seen.get(key)
+                if zeros is None:
+                    zeros = seen[key] = solve_level(system)
+            pending[i] = iter(zeros)
+        elif level is None:
+            pending[i] = enumerate_level(i, schedule[i])
+        else:
+            pending[i] = iter(level)
         tried[i] = 0
 
 
@@ -450,18 +447,19 @@ def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8)
     Below level i the search reads only the images of the frontier, the
     generators up to i that a relation closing after i mentions.  Where the
     frontier stops growing, a subtree that fails is stored under the
-    frontier's images with the number of candidates it charged; when the
-    same images recur, that count is charged again and the subtree is
-    skipped.  A solved level likewise keeps its zeros under the images of
-    the other generators in the words it closes, and a visit that finds
-    those images again evaluates nothing; equal affine maps share one zero
-    list, so each is tabulated once.  Every visit of a level charges
-    2^(n^2) candidates once it is done, and each stored entry or zero list
-    comes from one visit, so a search of `nodes` candidates stores at most
-    nodes / 2^(n^2) of each, plus one per level for the visits still open
-    when it stops.  The budget counts candidates in enumeration order
-    throughout, so the first hit, the node count and the budget's meaning
-    do not depend on solving or remembering.
+    frontier's images with the number of candidates it charged; when they
+    recur, that count is charged again and the subtree is skipped.  A solved
+    level keeps its zeros under the images of the other generators in the
+    words it closes, where those are fewer than the frontier entering it
+    (else they cannot recur before the first hit); equal affine maps share
+    one zero list, so each is tabulated once.  A key is one int, the images
+    assigned so far (generator j at bit j * n^2) masked to the generators
+    the entry depends on.  A visit of a level charges 2^(n^2) candidates
+    once done, and each entry comes from one visit, so a search of `nodes`
+    candidates stores at most nodes / 2^(n^2) of each, plus one per level
+    for the visits still open when it stops.  The budget counts candidates
+    in enumeration order throughout, so the first hit, the node count and
+    the budget's meaning do not depend on solving or remembering.
     Exhausting the node budget returns None, which is inconclusive:
     nonexistence claims are the business of certificate replay, never of
     this search.

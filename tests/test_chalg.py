@@ -88,6 +88,19 @@ def test_adjoin_all_extends_table():
     assert rs.names() == ("r1",)
 
 
+@pytest.mark.parametrize("items,message", [
+    ([("d_x1", "x1")], "duplicate relation name 'd_x1'"),
+    ([("a", "x1"), ("b", "x2"), ("a", "1")], "duplicate relation name 'a'"),
+    # the first bad relation in order is the one reported
+    ([("a", "x99"), ("d_x1", "1")], r"relation 'a' uses unknown generators \['x99'\]"),
+    ([("a", "x1"), ("a", "x99")], "duplicate relation name 'a'"),
+], ids=["clashes-with-d", "repeated-assumption", "unknown-first", "duplicate-first"])
+def test_adjoin_all_rejects_the_first_bad_relation(k2, items, message):
+    rs = char_algebra(k2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rs.adjoin_all((name, parse(text, F2)) for name, text in items)
+
+
 # ---- certificate parsing ----
 
 CERT_SAMPLE = """\

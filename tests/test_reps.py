@@ -185,6 +185,14 @@ def test_augmentations_are_pinned(make, graded, digest):
     assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
+# the node counts of the ungraded T(5,-q) walks, recorded before the search
+# kept its images in one int; every one of them finds nothing
+@pytest.mark.parametrize("q,nodes", [(6, 18_800), (7, 49_328), (8, 66_736),
+                                     (9, 91_312), (11, 91_312), (12, 91_312)])
+def test_ungraded_torus_walks_are_pinned(q, nodes):
+    assert reps_module._augmentations(torus_dga(5, q)[1], False, 10 ** 8) == ([], "exhausted", nodes)
+
+
 def test_augmentation_budget_stops_inconclusive():
     g = torus_dga(7, 9)[1]
     assert reps_module._augmentations(g, False, 10 ** 5) == ([], "budget", 10 ** 5)
