@@ -384,8 +384,22 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
     Returns a report carrying the final relation table (initial relations
     plus every registered one) and per-relation dependency sets.  Soundness:
     each registered value is an explicit two-sided combination of initial
-    relations and differentials, so it lies in the defining ideal.
+    relations and differentials, so it lies in the defining ideal.  A step
+    that reads a generator outside the presentation raises CertificateError
+    before any step is replayed.
     """
+    known = set(rs.presentation.generators)
+    for step in cert.steps:
+        names = set()
+        if isinstance(step, (DiffStep, AssertEqualStep)):
+            names = step.expr.generators()
+        elif isinstance(step, CombStep):
+            names = names.union(*(u.generators() | v.generators() for u, _, v in step.terms))
+        elif isinstance(step, SubstStep):
+            names = names.union(*({g} | p.generators() for g, p in step.rules))
+        if names - known:
+            raise CertificateError(f"relation {step.name!r} uses unknown generators "
+                                   f"{sorted(names - known)}")
     ring = rs.ring
     table = rs.table()
     order = list(table.keys())

@@ -134,6 +134,10 @@ def _sweep_generator(front: FrontDiagram, j: int, ring: str,
             )
     if live:
         raise RuntimeError(f"disk sweep for {ev.name} left {live} open states")
+    if ev.kind == "R":  # the cusp's own disk: 1, or t^-1 at the base point over ZT
+        exp = -1 if ring == ZT and ev.name == front.base_cusp else 0
+        slot = acc.setdefault((), {})
+        slot[exp] = slot.get(exp, 0) + 1
     return NcPoly(ring, acc)
 
 
@@ -159,15 +163,8 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
 
     differential: dict[str, NcPoly] = {}
     for k, e in enumerate(front.events):
-        if e.kind == "L":
-            continue
-        poly = _sweep_generator(front, k, ring, parity, cap, touch)
-        if e.kind == "R":
-            if ring == ZT and e.name == front.base_cusp:
-                poly = poly + NcPoly.t_power(-1)
-            else:
-                poly = poly + NcPoly.one(ring)
-        differential[e.name] = poly
+        if e.kind != "L":
+            differential[e.name] = _sweep_generator(front, k, ring, parity, cap, touch)
 
     pres = GradedPresentation(front.generator_names, dict(table.grading),
                               ring, table.modulus)

@@ -2,8 +2,12 @@
 
 Elements are finite sums of words in named generators.  Coefficients are
 integer Laurent polynomials in t; over F2 the exponent is forced to 0 and
-integers are reduced mod 2.  Everything is kept in a canonical normal form
-so that equality is literal equality of term dictionaries.
+integers are reduced mod 2.  Every NcPoly, from the constructor, the ring
+operations, parse, substitute, specialize and derivations alike, gets its
+terms from one function, `_normal_form`, which sums (word, exponent,
+coefficient) triples.  It keeps the invariant that equality rests on: no
+zero coefficient is stored, and over F2 the only coefficient is {0: 1}, so
+equality is literal equality of term dictionaries.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ _FACTOR_RE = re.compile(
 Word = tuple[str, ...]
 # coefficient = Laurent polynomial, exponent -> integer, no zero values stored
 Coef = dict[int, int]
+Triple = tuple[Word, int, int]  # (word, exponent of t, coefficient)
 
 
 class GradingError(ValueError):
@@ -63,39 +68,44 @@ def word_key(word: Word):
     return (len(word), tuple(_natural_key(g) for g in word))
 
 
-def _norm_coef(ring: str, coef: Coef) -> Coef:
+def _triples(terms: Mapping[Word, Coef], n: int = 1) -> list[Triple]:
+    """The terms flattened, each coefficient multiplied by n."""
+    return [(w, e, n * c) for w, coef in terms.items() for e, c in coef.items()]
+
+
+def _normal_form(ring: str, triples: list[Triple]) -> dict[Word, Coef]:
+    """Canonical terms summing the triples, words in first-seen order: over F2 a
+    nonzero exponent is refused and parities are kept, over ZT zero sums dropped."""
     if ring == F2:
-        out = {}
-        for exp, c in coef.items():
-            if exp != 0:
+        parity: dict[Word, int] = {}
+        for w, e, c in triples:
+            if e:
                 raise ValueError("t is not allowed over F2")
-            c %= 2
-            if c:
-                out[0] = 1
-        return out
-    return {exp: c for exp, c in coef.items() if c}
-
-
-def _coef_add(acc: Coef, other: Coef) -> None:
-    for exp, c in other.items():
-        v = acc.get(exp, 0) + c
-        if v:
-            acc[exp] = v
-        else:
-            acc.pop(exp, None)
-
-
-def _coef_mul(a: Coef, b: Coef) -> Coef:
-    out: Coef = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
+            parity[w] = parity.get(w, 0) ^ c
+        terms = {}
+        for w, c in parity.items():
+            if c & 1:
+                terms[w] = {0: 1}
+    else:
+        sums: dict[Word, Coef] = {}
+        for w, e, c in triples:
+            coef = sums.get(w)
+            if coef is None:
+                sums[w] = {e: c}
             else:
-                out.pop(e, None)
-    return out
+                coef[e] = coef.get(e, 0) + c
+        terms = {}
+        for w, coef in sums.items():
+            if any(coef.values()):
+                terms[w] = coef if all(coef.values()) else {e: c for e, c in coef.items() if c}
+    return terms
+
+
+def _poly(ring: str, triples: list[Triple]) -> "NcPoly":
+    """An NcPoly holding the triples' normal form; the operations build through it."""
+    p = object.__new__(NcPoly)
+    p.ring, p.terms = ring, _normal_form(ring, triples)
+    return p
 
 
 class NcPoly:
@@ -106,12 +116,12 @@ class NcPoly:
     def __init__(self, ring: str, terms: Mapping[Word, Coef] | None = None):
         _check_ring(ring)
         self.ring = ring
-        clean: dict[Word, Coef] = {}
-        for word, coef in (terms or {}).items():
-            c = _norm_coef(ring, coef)
-            if c:
-                clean[tuple(word)] = c
-        self.terms = clean
+        triples = []
+        for w, coef in (terms or {}).items():
+            w = tuple(w)
+            for e, c in coef.items():
+                triples.append((w, e, c))
+        self.terms = _normal_form(ring, triples)
 
     # ---- constructors ----
 
@@ -144,17 +154,10 @@ class NcPoly:
     def __add__(self, other: "NcPoly") -> "NcPoly":
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
-        acc = {w: dict(c) for w, c in self.terms.items()}
-        for w, c in other.terms.items():
-            slot = acc.setdefault(w, {})
-            _coef_add(slot, c)
-        return NcPoly(self.ring, acc)
+        return _poly(self.ring, _triples(self.terms) + _triples(other.terms))
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(
-            self.ring,
-            {w: {e: -c for e, c in coef.items()} for w, coef in self.terms.items()},
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
@@ -162,18 +165,13 @@ class NcPoly:
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
-        acc: dict[Word, Coef] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                slot = acc.setdefault(w1 + w2, {})
-                _coef_add(slot, _coef_mul(c1, c2))
-        return NcPoly(self.ring, acc)
+        right = _triples(other.terms)
+        return _poly(self.ring, [(w1 + w2, e1 + e2, c1 * c2)
+                                 for w1, e1, c1 in _triples(self.terms)
+                                 for w2, e2, c2 in right])
 
     def scale(self, n: int) -> "NcPoly":
-        return NcPoly(
-            self.ring,
-            {w: {e: n * c for e, c in coef.items()} for w, coef in self.terms.items()},
-        )
+        return _poly(self.ring, _triples(self.terms, n))
 
     # ---- predicates / inspection ----
 
@@ -242,8 +240,7 @@ def parse(text: str, ring: str) -> NcPoly:
         return NcPoly.zero(ring)
     # a '-' not part of an exponent starts a new negated term; the text is
     # then read in one pass, factor by factor
-    acc: dict[Word, Coef] = {}
-    saw_piece = False
+    triples: list[Triple] = []
     coef = exp = 0
     word: list[str] = []
     for sep, neg, digits, tee, tpow, names, other, more in _FACTOR_RE.findall(
@@ -262,45 +259,35 @@ def parse(text: str, ring: str) -> NcPoly:
             continue  # a blank term
         if more:
             continue
-        saw_piece = True
+        # checked here too, so that t is reported before a later bad factor
         if ring == F2 and exp != 0:
             raise ValueError("t is not allowed over F2")
-        # zero sums are dropped when the NcPoly is built
-        slot = acc.setdefault(tuple(word), {})
-        slot[exp] = slot.get(exp, 0) + coef
-    if not saw_piece:
+        triples.append((tuple(word), exp, coef))
+    if not triples:
         raise ValueError(f"no terms in {text!r}")
-    return NcPoly(ring, acc)
+    return _poly(ring, triples)
 
 
 def substitute(p: NcPoly, sigma: Mapping[str, NcPoly]) -> NcPoly:
     """Algebra-homomorphic image of p; sigma must cover every generator in p."""
-    out = NcPoly.zero(p.ring)
-    cache: dict[Word, NcPoly] = {(): NcPoly.one(p.ring)}
+    triples: list[Triple] = []
     for w, coef in p.terms.items():
-        img = cache.get(w)
-        if img is None:
-            img = NcPoly.one(p.ring)
-            for g in w:
-                if g not in sigma:
-                    raise ValueError(f"no image for generator {g!r}")
-                gi = sigma[g]
-                if gi.ring != p.ring:
-                    raise ValueError(f"ring mismatch: {gi.ring} vs {p.ring}")
-                img = img * gi
-            cache[w] = img
-        out = out + NcPoly(p.ring, {u: _coef_mul(coef, c) for u, c in img.terms.items()})
-    return out
+        img = NcPoly.one(p.ring)
+        for g in w:
+            if g not in sigma:
+                raise ValueError(f"no image for generator {g!r}")
+            gi = sigma[g]
+            if gi.ring != p.ring:
+                raise ValueError(f"ring mismatch: {gi.ring} vs {p.ring}")
+            img = img * gi
+        triples += [(u, e1 + e2, c1 * c2) for e1, c1 in coef.items()
+                    for u, e2, c2 in _triples(img.terms)]
+    return _poly(p.ring, triples)
 
 
 def specialize(p: NcPoly) -> NcPoly:
     """Set t = 1 and reduce coefficients mod 2 (ZT -> F2)."""
-    acc: dict[Word, Coef] = {}
-    for w, coef in p.terms.items():
-        total = sum(coef.values()) % 2
-        if total:
-            acc[w] = {0: 1}
-    return NcPoly(F2, acc)
+    return _poly(F2, [(w, 0, sum(coef.values())) for w, coef in p.terms.items()])
 
 
 @dataclass
@@ -353,13 +340,12 @@ def signed_derivation(
     if ring == ZT and pres.modulus % 2:
         raise GradingError("signs need a Z or even-modulus grading")
     grading = pres.grading or {}
-    flat = {g: [(w, e, c) for w, coef in dg.terms.items() for e, c in coef.items()]
-            for g, dg in d.items() if dg.terms}
+    flat = {g: _triples(dg.terms) for g, dg in d.items() if dg.terms}
 
     def derive(p: NcPoly) -> NcPoly:
         if p.ring != ring:
             raise ValueError(f"ring mismatch: {p.ring} vs {ring}")
-        acc: dict[tuple[Word, int], int] = {}
+        triples: list[Triple] = []
         for w, coef in p.terms.items():
             parity: int | None = 0
             for i, g in enumerate(w):
@@ -377,16 +363,12 @@ def signed_derivation(
                     for e1, c1 in coef.items():
                         c1 *= sign
                         for w2, e2, c2 in dg:
-                            key = (head + w2 + tail, e1 + e2)
-                            acc[key] = acc.get(key, 0) + c1 * c2
+                            triples.append((head + w2 + tail, e1 + e2, c1 * c2))
                 if ring == ZT and parity is not None:
                     if g in grading:
                         parity += grading[g]
                     else:
                         parity = None
-        terms: dict[Word, Coef] = {}
-        for (w, e), c in acc.items():
-            terms.setdefault(w, {})[e] = c
-        return NcPoly(ring, terms)
+        return _poly(ring, triples)
 
     return derive

@@ -103,6 +103,8 @@ class FrontDiagram:
         live_after = [()]
         for ev in self.events:
             c, d = ev.slots
+            if c < 1:
+                raise ValueError(f"slot {c} below 1")
             if d > n_slots:
                 raise ValueError(f"slot {d} beyond n_slots={n_slots}")
             between = {s for s in live if c < s < d}

@@ -155,11 +155,13 @@ def _constraints(target: Union[DGA, RelationSet]) -> tuple[tuple[str, ...], list
 
 
 def verify_matrix_rep(target: Union[DGA, RelationSet], rho: MatRepAssignment) -> bool:
-    """Check that every relation of the target is killed by the assignment."""
+    """Check that an assignment of exactly the target's generators kills every relation."""
     gens, rels = _constraints(target)
     missing = [g for g in gens if g not in rho.images]
     if missing:
         raise ValueError(f"no image for generator {missing[0]}")
+    if len(rho.images) != len(gens):  # every generator has an image, so one is extra
+        raise ValueError(f"image for unknown generator {min(set(rho.images) - set(gens))}")
     zero = mat_zero(rho.n)
     return all(evaluate_poly(r, rho.images, rho.n) == zero for r in rels)
 

@@ -239,6 +239,23 @@ def test_verify_cert_failure(tmp_path, capsys):
     assert code == EXIT_FAIL and "FAIL" in out
 
 
+@pytest.mark.parametrize("text,name", [
+    ("diff dz = D( x99 )\nassert dz = 0\n", "dz"),
+    ("comb r = ( x99 ) * d_x2 * ( 1 )\n", "r"),
+    ("subst s = d_x2 with x99 -> x1\n", "s"),
+    ("assert d_x2 = x1 + x99\n", "d_x2"),
+], ids=["diff", "comb", "subst", "assert"])
+def test_verify_cert_rejects_unknown_generators(tmp_path, capsys, text, name):
+    # the first two would replay to PASS: d(x99) = 0 and x99 * d_x2 lies in
+    # the ideal; every step's polynomials are checked before any replay
+    cert = tmp_path / "c.cert"
+    cert.write_text(text)
+    code, out, err = run(capsys, "verify", "cert", "--dga", K2_DGA,
+                         "--cert", str(cert))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: relation {name!r} uses unknown generators ['x99']\n"
+
+
 @pytest.mark.parametrize("cyclic,failure", [
     (False, "rule 'x1149' not backed by a registered relation"),
     (True, "substitution rules are cyclic"),
@@ -282,6 +299,18 @@ def test_verify_rep_bundled(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "rep", "--dga", str(dga_path),
                        "--rep", M942_REP)
     assert code == EXIT_OK and "verified" in out
+
+
+@pytest.mark.parametrize("name", ["x99", "t"])
+def test_verify_rep_rejects_images_of_unknown_generators(tmp_path, capsys, name):
+    dga_path = tmp_path / "m942.dga"
+    dga_path.write_text(_m942_table())
+    rep = tmp_path / "m942.rep"
+    rep.write_text(pathlib.Path(M942_REP).read_text() + f"map {name} = 0101\n")
+    code, out, err = run(capsys, "verify", "rep", "--dga", str(dga_path),
+                         "--rep", str(rep))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: image for unknown generator {name}\n"
 
 
 def test_verify_torus(capsys):
@@ -513,6 +542,26 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # deleting a helper tends to leave its import behind; package __init__
+    # files import to re-export, and __future__ imports switch on features
+    unused = []
+    for path in sorted(p for d in ("src/lch", "tests", "scripts")
+                       for p in (ROOT / d).glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(((a.asname or a.name).split(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_bundled_artifacts_match_their_builders():

@@ -391,3 +391,66 @@ def test_specialize_intertwines_derivations(w, grading, d):
     derive2 = signed_derivation(pres2, d2)
     p = NcPoly(ZT, {w: {0: 1}})
     assert specialize(derive(p)) == derive2(specialize(p))
+
+
+@pytest.mark.parametrize("ring,terms,message", [
+    (F2, {("x1",): {1: 1}}, "t is not allowed over F2"),
+    (F2, {("x1",): {1: 0}}, "t is not allowed over F2"),
+    (ZT, {("x1",): {0: 0}}, None),
+])
+def test_constructor_normal_form_edges(ring, terms, message):
+    if message is None:
+        assert NcPoly(ring, terms).is_zero()
+    else:
+        with pytest.raises(ValueError) as err:
+            NcPoly(ring, terms)
+        assert str(err.value) == message
+
+
+def _expand(p: NcPoly) -> dict:
+    """p as a plain dict (word, exponent) -> coefficient; no empty coefficient
+    may hide in p.terms."""
+    assert all(p.terms.values())
+    return {(w, e): c for w, coef in p.terms.items() for e, c in coef.items()}
+
+
+def _reference(ring: str, pairs) -> dict:
+    """Sum ((word, exponent), coefficient) pairs term by term, then reduce."""
+    acc: dict = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    if ring == F2:
+        return {key: 1 for key, c in acc.items() if c % 2}
+    return {key: c for key, c in acc.items() if c}
+
+
+def _reference_mul(ring: str, a: dict, b: dict) -> dict:
+    return _reference(ring, [((w1 + w2, e1 + e2), c1 * c2)
+                             for (w1, e1), c1 in a.items() for (w2, e2), c2 in b.items()])
+
+
+_ring_case = st.sampled_from([F2, ZT]).flatmap(lambda ring: st.tuples(
+    st.just(ring),
+    *[_poly_f2 if ring == F2 else _poly_zt] * 2,
+    st.fixed_dictionaries({g: _poly_f2 if ring == F2 else _poly_zt for g in _NAMES}),
+    st.integers(-3, 3)))
+
+
+@given(_ring_case)
+@settings(max_examples=100)
+def test_operations_match_reference_on_both_rings(case):
+    ring, p, q, sigma, n = case
+    a, b = _expand(p), _expand(q)
+    assert _expand(p + q) == _reference(ring, [*a.items(), *b.items()])
+    assert _expand(p - q) == _reference(ring, [*a.items(), *((k, -c) for k, c in b.items())])
+    assert _expand(-p) == _reference(ring, [(k, -c) for k, c in a.items()])
+    assert _expand(p * q) == _reference_mul(ring, a, b)
+    assert _expand(p.scale(n)) == _reference(ring, [(k, n * c) for k, c in a.items()])
+    pairs = []
+    for (w, e), c in a.items():
+        img = {((), e): c}
+        for g in w:
+            img = _reference_mul(ring, img, _expand(sigma[g]))
+        pairs += img.items()
+    assert _expand(substitute(p, sigma)) == _reference(ring, pairs)
+    assert _expand(specialize(p)) == _reference(F2, [((w, 0), c) for (w, _), c in a.items()])

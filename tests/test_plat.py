@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from lch import refdata
 from lch.plat import (
+    Event,
     FrontDiagram,
     build_front,
     classical_invariants,
@@ -169,6 +170,33 @@ def test_grading_rejects_links():
               Event("R", (1, 2), name="x1"), Event("R", (3, 4), name="x2")]
     with pytest.raises(ValueError):
         maslov_grading(FrontDiagram(4, events))
+
+
+def _loop(c, d, cross="x1", cusp="x2"):
+    return [Event("L", (c, d)), Event("X", (c, d), name=cross), Event("R", (c, d), name=cusp)]
+
+
+@pytest.mark.parametrize("n_slots,events,base,message", [
+    # slot 0 would index the sweep's per-slot rows from the end
+    (2, _loop(0, 1), None, "slot 0 below 1"),
+    (2, _loop(1, 3), None, "slot 3 beyond n_slots=2"),
+    (4, [Event("L", (2, 3)), Event("L", (1, 4))], None,
+     "Event(kind='L', slots=(1, 4), name=None) straddles live slots [2, 3]"),
+    (2, [Event("L", (1, 2)), Event("L", (1, 2))], None,
+     "Event(kind='L', slots=(1, 2), name=None) opens already-live slots"),
+    (2, [Event("X", (1, 2), name="x1")], None,
+     "Event(kind='X', slots=(1, 2), name='x1') touches dead slots"),
+    (4, [Event("L", (1, 2)), Event("L", (3, 4)), Event("R", (3, 4), name="x1")], None,
+     "slots [1, 2] never close"),
+    (2, _loop(1, 2, cusp=None), None, "crossings and right cusps need unique names"),
+    (2, _loop(1, 2, cusp="x1"), None, "crossings and right cusps need unique names"),
+    (2, _loop(1, 2), "x1", "base point cusp 'x1' is not a right cusp"),
+], ids=["below-1", "beyond-n", "straddle", "reopen", "dead", "unclosed",
+        "unnamed", "repeated-name", "base-cusp"])
+def test_front_diagram_validation_messages(n_slots, events, base, message):
+    with pytest.raises(ValueError) as err:
+        FrontDiagram(n_slots, events, base_cusp=base)
+    assert str(err.value) == message
 
 
 # ---- random plats ----
