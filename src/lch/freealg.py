@@ -272,16 +272,17 @@ def substitute(p: NcPoly, sigma: Mapping[str, NcPoly]) -> NcPoly:
     """Algebra-homomorphic image of p; sigma must cover every generator in p."""
     triples: list[Triple] = []
     for w, coef in p.terms.items():
-        img = NcPoly.one(p.ring)
+        # the term's image, expanded letter by letter and summed once at the end
+        img = [((), e, c) for e, c in coef.items()]
         for g in w:
             if g not in sigma:
                 raise ValueError(f"no image for generator {g!r}")
             gi = sigma[g]
             if gi.ring != p.ring:
                 raise ValueError(f"ring mismatch: {gi.ring} vs {p.ring}")
-            img = img * gi
-        triples += [(u, e1 + e2, c1 * c2) for e1, c1 in coef.items()
-                    for u, e2, c2 in _triples(img.terms)]
+            right = _triples(gi.terms)
+            img = [(u + v, e1 + e2, c1 * c2) for u, e1, c1 in img for v, e2, c2 in right]
+        triples += img
     return _poly(p.ring, triples)
 
 

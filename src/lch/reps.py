@@ -3,10 +3,13 @@
 Three families live here.  Matrix representations over F2 are searched for
 and verified with matrices stored as tuples of row bitmasks (entry (i, j) is
 bit j of row i); augmentations, the one-dimensional case, are every solution
-of the same search.  It assigns generators in order, checks each relation
-once its last generator is assigned, solves the levels whose relations are
-affine in the new image, and remembers failed subtrees and solved levels by
-the images they read (see search_matrix_rep).  The explicit
+of the same search.  One compile step reads the relations: for graded
+augmentations it pins the generators of nonzero degree mod the grading's
+modulus to 0, and it files each relation under the level that closes it.
+The search assigns generators in order, checks each relation there, solves
+the levels whose relations are affine in the new image, and remembers
+failed subtrees and solved levels by the images they read (see
+search_matrix_rep).  The explicit
 two-dimensional homomorphism for maximal-tb negative torus knots is built
 directly from the labeled front.  Finally, the nontriviality witness for the
 three-generator quotient algebra is an operator action on a countable basis
@@ -43,7 +46,6 @@ __all__ = [
     "encode_matrix",
     "evaluate_poly",
     "find_augmentations",
-    "exhaustive_augmentations",
     "verify_matrix_rep",
     "search_matrix_rep",
     "torus_rep",
@@ -166,34 +168,39 @@ def verify_matrix_rep(target: Union[DGA, RelationSet], rho: MatRepAssignment) ->
     return all(evaluate_poly(r, rho.images, rho.n) == zero for r in rels)
 
 
-def _compile(gens: tuple[str, ...], rels: list[NcPoly]):
-    """Relations as (constant, words-over-positions), grouped by last-needed slot.
+def _compile(target: Union[DGA, RelationSet], graded: bool = False):
+    """The search's one view of the target's relations: (gens, free, levels).
 
-    schedule[i] lists the relations whose support closes once generator i is
-    assigned; constant or empty relations get slot -1 and are checked upfront.
+    free lists the generators the search assigns: all of gens, or with
+    graded set those of degree 0 mod the grading's modulus, the others being
+    pinned to 0 by dropping every word that contains one.  levels[i] lists
+    the relations that close once free generator i is assigned, each as
+    (constant, words over positions in free); it is None when a relation
+    reduces to the constant 1, so that nothing solves the system.
     """
-    pos = {g: i for i, g in enumerate(gens)}
-    compiled = []
+    gens, rels = _constraints(target)
+    free = gens
+    if graded:
+        pres = target.presentation
+        free = tuple(x for x in gens if pres.word_degree((x,)) == 0)
+    pos = {g: i for i, g in enumerate(free)}
+    levels: list[list] = [[] for _ in free]
     for r in rels:
         const = 0
         words = []
-        top = -1
         for word in r.terms:
-            if not word:
-                const ^= 1
+            w = tuple(map(pos.get, word))
+            if None in w:
                 continue
-            w = tuple(pos[g] for g in word)
-            top = max(top, max(w))
-            words.append(w)
-        compiled.append((const, tuple(words), top))
-    schedule: list[list[int]] = [[] for _ in gens]
-    upfront: list[int] = []
-    for k, (_, _, top) in enumerate(compiled):
-        if top < 0:
-            upfront.append(k)
-        else:
-            schedule[top].append(k)
-    return compiled, schedule, upfront
+            if w:
+                words.append(w)
+            else:
+                const ^= 1
+        if words:
+            levels[max(map(max, words))].append((const, words))
+        elif const:
+            return gens, free, None
+    return gens, free, levels
 
 
 # ---- matrix representation search ----
@@ -225,18 +232,17 @@ def _product_table(n: int) -> tuple[tuple[int, ...], ...]:
         for x in codes)
 
 
-def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
+def _walk(levels: Optional[list], n: int, budget: float):
     """Yield each solution's matrix codes, in search order, with the node count.
 
-    Returns the stop reason, "exhausted" or "budget", and the final count.
-    Nodes count candidate matrices in enumeration order, including those a
-    solved level rules out without evaluating them and those of a remembered
-    failed subtree, and never exceed the budget.
+    levels is _compile's.  Returns the stop reason, "exhausted" or "budget",
+    and the final count.  Nodes count candidate matrices in enumeration
+    order, including those a solved level rules out without evaluating them
+    and those of a remembered failed subtree, and never exceed the budget.
     """
-    compiled, schedule, upfront = _compile(gens, rels)
-    if any(compiled[k][0] for k in upfront):
+    if levels is None:
         return "exhausted", 0
-    if not gens:
+    if not levels:
         yield (), 0
         return "exhausted", 0
     # matrices live as their row-major codes; for n <= 3 a full product
@@ -248,7 +254,7 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
     mul = _product_table(n) if n <= 3 else None
     row_mask = (1 << n) - 1
     col_mask = sum(1 << (r * n) for r in range(n))
-    images = [0] * len(gens)
+    images = [0] * len(levels)
 
     def product(w: tuple[int, ...]) -> int:
         m = ident
@@ -264,15 +270,14 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
             m = encode_matrix(mm, n)
         return m
 
-    def enumerate_level(i: int, checks: list[int]):
+    def enumerate_level(i: int, closing: list):
         # yields each candidate that passes, trying none the budget would
         # not pay for: the driver charges up to the next yield
         for cand in range(count):
             if nodes + cand + 1 - tried[i] > budget:
                 return
             images[i] = cand
-            for k in checks:
-                const, words, _ = compiled[k]
+            for const, words in closing:
                 acc = ident if const else 0
                 for w in words:
                     acc ^= product(w)
@@ -323,50 +328,52 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
     # zeros depend only on its reads, the other generators in its closing
     # words, and are kept where those are fewer than the frontier entering
     # it, whose images cannot recur before a solution
-    last_use = [-1] * len(gens)
-    for i, checks in enumerate(schedule):
-        for k in checks:
-            for w in compiled[k][1]:
+    last_use = [-1] * len(levels)
+    for i, closing in enumerate(levels):
+        for _, words in closing:
+            for w in words:
                 for j in w:
                     last_use[j] = i
-    slot = [(count - 1) << i * nn for i in range(len(gens))]
-    levels = []
+    slot = [(count - 1) << i * nn for i in range(len(levels))]
+    # how each level picks its candidates: every code when it closes
+    # nothing, (system, key mask, zero lists or None) when it is solved,
+    # and its closing relations when it is enumerated
+    plans: list = []
     frontier = []
     width = 0
-    for i, checks in enumerate(schedule):
-        reads = {j for k in checks for w in compiled[k][1] for j in w} - {i}
-        if not checks:
-            levels.append(range(count))
-        elif mul is not None and all(w.count(i) <= 1 for k in checks for w in compiled[k][1]):
+    for i, closing in enumerate(levels):
+        reads = {j for _, words in closing for w in words for j in w} - {i}
+        if not closing:
+            plans.append(range(count))
+        elif mul is not None and all(w.count(i) <= 1 for _, words in closing for w in words):
             system = []
-            for j, k in enumerate(checks):
-                const, words, _ = compiled[k]
+            for j, (const, words) in enumerate(closing):
                 plain = [w for w in words if i not in w]
                 linear = [(w[:w.index(i)], w[w.index(i) + 1:]) for w in words if i in w]
                 system.append((j * nn, const, plain, linear))
-            levels.append((system, sum(slot[j] for j in reads), {} if len(reads) < width else None))
+            plans.append((system, sum(slot[j] for j in reads), {} if len(reads) < width else None))
         else:
-            levels.append(None)
+            plans.append(closing)
         reads = [j for j in range(i + 1) if last_use[j] > i]
         frontier.append(sum(slot[j] for j in reads) if len(reads) <= width else None)
         width = len(reads)
-    memo: list[dict[int, int]] = [{} for _ in gens]
+    memo: list[dict[int, int]] = [{} for _ in levels]
 
     # depth-first over levels; packed holds the images of levels up to i,
     # image j at bit j * nn, and a key is packed masked to what it reads;
     # tried[i] is the next code plain enumeration would try at level i, so
     # skipped candidates are charged as they pass; entered[i] and
     # hits_entered[i] are the node and hit counts entering level i + 1
-    last = len(gens) - 1
-    pending = [iter(())] * len(gens)
-    tried = [0] * len(gens)
-    entered = [0] * len(gens)
-    hits_entered = [0] * len(gens)
-    below = [(1 << i * nn) - 1 for i in range(len(gens))]
+    last = len(levels) - 1
+    pending = [iter(())] * len(levels)
+    tried = [0] * len(levels)
+    entered = [0] * len(levels)
+    hits_entered = [0] * len(levels)
+    below = [(1 << i * nn) - 1 for i in range(len(levels))]
     nodes = hits = packed = i = 0
-    level = levels[0]
-    pending[0] = (iter(solve_level(level[0])) if type(level) is tuple
-                  else enumerate_level(0, schedule[0]) if level is None else iter(level))
+    plan = plans[0]
+    pending[0] = (iter(solve_level(plan[0])) if type(plan) is tuple
+                  else enumerate_level(0, plan) if type(plan) is list else iter(plan))
     while True:
         cand = next(pending[i], None)
         if cand is None:
@@ -399,9 +406,9 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
             entered[i] = nodes
             hits_entered[i] = hits
         i += 1
-        level = levels[i]
-        if type(level) is tuple:
-            system, mask, seen = level
+        plan = plans[i]
+        if type(plan) is tuple:
+            system, mask, seen = plan
             if seen is None:
                 zeros = solve_level(system)
             else:
@@ -410,10 +417,10 @@ def _walk(gens: tuple[str, ...], rels: list[NcPoly], n: int, budget: float):
                 if zeros is None:
                     zeros = seen[key] = solve_level(system)
             pending[i] = iter(zeros)
-        elif level is None:
-            pending[i] = enumerate_level(i, schedule[i])
+        elif type(plan) is list:
+            pending[i] = enumerate_level(i, plan)
         else:
-            pending[i] = iter(level)
+            pending[i] = iter(plan)
         tried[i] = 0
 
 
@@ -425,9 +432,9 @@ def _search(g: Union[DGA, RelationSet], n: int,
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    gens, rels = _constraints(g)
+    gens, _, levels = _compile(g)
     try:
-        codes, nodes = next(_walk(gens, rels, n, budget))
+        codes, nodes = next(_walk(levels, n, budget))
     except StopIteration as stop:
         return (None, *stop.value)
     rho = MatRepAssignment(n, {g_: decode_matrix(c, n) for g_, c in zip(gens, codes)})
@@ -469,25 +476,18 @@ def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8)
     return _search(g, n, budget)[0]
 
 
-# ---- augmentations: the search at n = 1, and a brute-force oracle ----
+# ---- augmentations: the search at n = 1 ----
 
 def _augmentations(g: DGA, graded: bool,
                    budget: float) -> tuple[list[dict[str, int]], str, int]:
     """The augmentations found within budget, why the search stopped, its node count.
 
     The reason is "exhausted" or "budget", and the count is _walk's at n = 1.
-    With graded set, generators of nonzero degree are pinned to 0 before the
-    engine runs: they are dropped, with every word containing one, and come
-    back as 0.
+    With graded set, _compile pins the generators of nonzero degree mod the
+    grading's modulus to 0; the search skips them and they come back as 0.
     """
-    gens, rels = _constraints(g)
-    free = gens
-    if graded:
-        free = tuple(x for x in gens if g.presentation.degree_of(x) == 0)
-        kept = set(free)
-        rels = [NcPoly(F2, {w: c for w, c in r.terms.items() if kept.issuperset(w)})
-                for r in rels]
-    walk = _walk(free, rels, 1, budget)
+    gens, free, levels = _compile(g, graded)
+    walk = _walk(levels, 1, budget)
     found = []
     while True:
         try:
@@ -502,29 +502,11 @@ def find_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int]]:
     """All algebra maps to F2 killing every differential, in lexicographic order.
 
     These are the one-dimensional representations: every solution of the
-    matrix search's engine at n = 1, with no node budget; `graded` pins the
-    generators of nonzero degree to 0.
+    matrix search's engine at n = 1, with no node budget.  `graded` keeps
+    only the maps that vanish on every generator of nonzero degree mod the
+    grading's modulus; the compile step pins those generators to 0.
     """
     return _augmentations(g, graded, math.inf)[0]
-
-
-def exhaustive_augmentations(g: DGA) -> list[dict[str, int]]:
-    """Brute-force oracle: filter all 2^n assignments.  Refuses n > 20.
-
-    Each relation is evaluated from its terms, sharing no code with the
-    compiled system that find_augmentations checks.
-    """
-    gens, rels = _constraints(g)
-    if len(gens) > 20:
-        raise ValueError(f"{len(gens)} generators is too many for brute force")
-    out = []
-    for values in itertools.product((0, 1), repeat=len(gens)):
-        eps = dict(zip(gens, values))
-        # over F2 every stored term has coefficient 1
-        if all(sum(all(eps[x] for x in word) for word in r.terms) % 2 == 0
-               for r in rels):
-            out.append(eps)
-    return out
 
 
 # ---- the explicit torus-knot homomorphism ----

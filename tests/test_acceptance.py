@@ -38,7 +38,6 @@ from lch.reps import (
     build_R_truncated,
     check_R_relations,
     deserialize_rep,
-    exhaustive_augmentations,
     find_augmentations,
     mat2_presentation_check,
     mat_add,
@@ -50,6 +49,7 @@ from lch.reps import (
     verify_matrix_rep,
     verify_R_relations,
 )
+from oracles import exhaustive_augmentations
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

@@ -6,9 +6,11 @@ import ast
 import contextlib
 import functools
 import hashlib
+import importlib
 import io
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -16,6 +18,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lch
 from lch import refdata, reps
 from lch.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from lch.dga import compute_dga, deserialize, serialize
@@ -346,6 +349,16 @@ def test_search_aug_trefoil(tmp_path, capsys):
     assert out_graded.endswith("5 augmentation(s)\n")
 
 
+@pytest.mark.parametrize("degree", ["2", "0"])
+def test_search_aug_graded_reads_degrees_mod_the_modulus(tmp_path, capsys, degree):
+    # the file keeps degree 2 as written; mod 2 it is 0, so x1 is not pinned
+    # and x1 = 1 kills d x2 either way
+    dga_path = tmp_path / "mod2.dga"
+    dga_path.write_text(f"ring F2\nmod 2\ngen x1 {degree}\ngen x2 1\nd x2 = 1 + x1\n")
+    got = run(capsys, "search", "aug", "--graded", "--dga", str(dga_path))
+    assert got == (EXIT_OK, "x1=1 x2=0\n1 augmentation(s)\n", "")
+
+
 def test_search_aug_long_chain(tmp_path, capsys):
     # d x{k+1} = x{k} + 1 forces x1..x999 to 1 and leaves x1000 free; one
     # search level per generator, deeper than the default recursion limit
@@ -562,6 +575,15 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_exported_name_resolves():
+    # a moved or deleted function must not leave its name in an __all__
+    modules = [lch] + [importlib.import_module(f"lch.{m.name}")
+                       for m in pkgutil.iter_modules(lch.__path__)]
+    names = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    stale = [f"{m.__name__}.{name}" for m, name in names if not hasattr(m, name)]
+    assert len(names) > len(lch.__all__) and stale == []
 
 
 def test_bundled_artifacts_match_their_builders():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from lch import refdata
 from lch import reps as reps_module
 from lch.chalg import RelationSet
-from lch.dga import compute_dga, torus_dga
+from lch.dga import DGA, compute_dga, deserialize, torus_dga
 from lch.freealg import F2, ZT, GradedPresentation, NcPoly, parse
 from lch.plat import build_front, parse_plat
 from lch.reps import (
@@ -23,7 +23,6 @@ from lch.reps import (
     deserialize_rep,
     encode_matrix,
     evaluate_poly,
-    exhaustive_augmentations,
     find_augmentations,
     mat2_presentation_check,
     mat_add,
@@ -38,6 +37,7 @@ from lch.reps import (
     _op_from_map,
     _search,
 )
+from oracles import exhaustive_augmentations
 from plat_strategies import front_of, knot_plats
 
 
@@ -207,6 +207,40 @@ def test_augmentation_budget_stops_inconclusive():
 def test_exhaustive_oracle_refuses_large_inputs(k2):
     with pytest.raises(ValueError, match="brute force"):
         exhaustive_augmentations(k2)
+
+
+def _graded_dga(degrees, differentials):
+    pres = GradedPresentation(tuple(degrees), dict(degrees), F2)
+    return DGA(pres, {x: parse(differentials.get(x, "0"), F2) for x in degrees})
+
+
+@pytest.mark.parametrize("degree", [2, 0])
+def test_graded_pinning_reads_degrees_mod_the_modulus(degree):
+    # deserialize keeps degree 2 as written; mod 2 it is 0, so x1 is free
+    g = deserialize(f"ring F2\nmod 2\ngen x1 {degree}\ngen x2 1\nd x2 = 1 + x1\n")
+    found = find_augmentations(g, graded=True)
+    assert found == exhaustive_augmentations(g, graded=True) == [{"x1": 1, "x2": 0}]
+
+
+def test_graded_pinning_to_the_constant_one_leaves_nothing():
+    # x2 and x3 have nonzero degree, so pinning turns d x1 = 1 + x2.x3 into 1
+    g = _graded_dga({"x1": 1, "x2": 1, "x3": -1}, {"x1": "1 + x2.x3"})
+    assert reps_module._augmentations(g, True, 10 ** 8) == ([], "exhausted", 0)
+    assert exhaustive_augmentations(g, graded=True) == []
+    assert find_augmentations(g) == exhaustive_augmentations(g) != []
+
+
+def test_graded_pinning_drops_a_relation_whose_words_are_all_pinned():
+    # pinning x2 and x3 removes every word of d x4 = x2.x3, which ungraded
+    # rules out x2 = x3 = 1; graded, only d x5 = 1 + x1 is left
+    degrees = {"x1": 0, "x2": 1, "x3": -1, "x4": 1, "x5": 1}
+    g = _graded_dga(degrees, {"x4": "x2.x3", "x5": "1 + x1"})
+    without = _graded_dga(degrees, {"x5": "1 + x1"})
+    assert (reps_module._augmentations(g, True, 10 ** 8)
+            == reps_module._augmentations(without, True, 10 ** 8))
+    assert find_augmentations(g, graded=True) == exhaustive_augmentations(g, graded=True) == [
+        {"x1": 1, "x2": 0, "x3": 0, "x4": 0, "x5": 0}]
+    assert find_augmentations(g) == exhaustive_augmentations(g) != exhaustive_augmentations(without)
 
 
 # ---- matrix representation search ----
