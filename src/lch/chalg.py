@@ -82,18 +82,6 @@ class RelationSet:
     def table(self) -> dict[str, NcPoly]:
         return dict(self.relations)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.relations)
-
-    def value(self, name: str) -> NcPoly:
-        for n, v in self.relations:
-            if n == name:
-                return v
-        raise KeyError(name)
-
-    def adjoin(self, name: str, value: NcPoly) -> "RelationSet":
-        return RelationSet(self.presentation, self.relations + ((name, value),), self.source)
-
     def adjoin_all(self, items: Iterable[tuple[str, NcPoly]]) -> "RelationSet":
         extra = tuple((name, value) for name, value in items)
         return RelationSet(self.presentation, self.relations + extra, self.source)
@@ -526,7 +514,7 @@ def adjoin_and_derive(rs: RelationSet, a: NcPoly, b: NcPoly, cert: Certificate) 
     one = NcPoly.one(ring)
     target = a * b - one
     adjoined = b * a - one
-    rs2 = rs.adjoin("adjoined", adjoined)
+    rs2 = rs.adjoin_all([("adjoined", adjoined)])
     report = verify_certificate(rs2, cert)
     if not report.ok:
         return NoRepVerdict(False, f"certificate failed: {report.failure}", report)

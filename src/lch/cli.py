@@ -126,12 +126,16 @@ def cmd_verify_unit(args) -> int:
     return EXIT_FAIL
 
 
-def cmd_verify_cert(args) -> int:
+def _load_cert(args):
+    """The DGA, and the certificate's steps and directives in its ring."""
     g = _load_dga(args.dga)
     text = _read(args.cert)
     ring = g.presentation.ring
-    cert = chalg.parse_certificate(text, ring=ring)
-    directives = chalg.parse_cert_directives(text, ring=ring)
+    return g, chalg.parse_certificate(text, ring=ring), chalg.parse_cert_directives(text, ring=ring)
+
+
+def cmd_verify_cert(args) -> int:
+    g, cert, directives = _load_cert(args)
     rs = chalg.char_algebra(g).adjoin_all(directives.assumptions)
     report = chalg.verify_certificate(rs, cert)
     for line in report.lines():
@@ -140,11 +144,7 @@ def cmd_verify_cert(args) -> int:
 
 
 def cmd_verify_norep(args) -> int:
-    g = _load_dga(args.dga)
-    text = _read(args.cert)
-    ring = g.presentation.ring
-    cert = chalg.parse_certificate(text, ring=ring)
-    directives = chalg.parse_cert_directives(text, ring=ring)
+    g, cert, directives = _load_cert(args)
     missing = {"a", "b"} - set(directives.witnesses)
     if missing:
         raise ValueError(f"certificate lacks witness line(s) for {sorted(missing)}")

@@ -13,9 +13,11 @@ search_matrix_rep).  The explicit
 two-dimensional homomorphism for maximal-tb negative torus knots is built
 directly from the labeled front.  Finally, the nontriviality witness for the
 three-generator quotient algebra is an operator action on a countable basis
-v_0, v_1, ...; since the operators roughly double basis indices, we truncate
-to N coordinates and track, per composed word, the largest index whose image
-is still exact; only the rows up to that index are computed.
+v_0, v_1, ...; each operator is stated once, as guarded affine pieces on the
+indices (_R_PIECES), and a test proves every identity on every v_i from that
+table.  The truncation to N coordinates and each operator's growth bound are
+derived from the pieces; per composed word we track the largest index whose
+image is still exact, and compute only the rows up to it.
 
 Everything is over F2.  Search routines never claim nonexistence: a failed
 search within budget is inconclusive by design.
@@ -628,6 +630,8 @@ class TruncatedOp:
             raise ValueError("row count disagrees with truncation size")
         if self.slope < 1 or self.offset < 0:
             raise ValueError("growth bound must be monotone")
+        if min(self.rows, default=0) < 0 or max(self.rows, default=0) >> self.N:
+            raise ValueError(f"a row is not a bitmask over {self.N} coordinates")
 
     @property
     def valid_domain(self) -> int:
@@ -638,42 +642,48 @@ def _valid_domain(N: int, slope: int, offset: int) -> int:
     return min(N - 1, (N - 1 - offset) // slope)
 
 
-def _op_from_map(N: int, fn, slope: int, offset: int) -> TruncatedOp:
-    rows = []
-    for i in range(N):
-        mask = 0
-        for j in fn(i):
-            if j < N:
-                mask |= 1 << j
-        rows.append(mask)
+# operator -> guarded affine pieces (M, r, lowest, targets), 0 <= r < M and
+# a >= 1: each piece sends v_i, i = M*t + r >= lowest, to the sum of
+# v_{a*t + b} over (a, b) in targets, and an operator sums its pieces
+_R_PIECES = {
+    "f": ((1, 0, 0, ((2, 0),)),),
+    "g": ((1, 0, 0, ((2, 1),)),),
+    "p": ((1, 0, 1, ((1, -1),)),),
+    "s": ((1, 0, 0, ((1, 1), (2, 2))),),
+    "c": ((2, 0, 0, ((1, 0),)),),
+}
+# the two-case diagram formulas collapse to uniform shifts: acting by a sends
+# v_m to v_{m-1} on both parities, and b sends v_m to v_{m+1} + v_{2m+2}, so
+# a and b agree with p and s pointwise and share their pieces
+_R_PIECES["a"], _R_PIECES["b"] = _R_PIECES["p"], _R_PIECES["s"]
+
+
+def _truncate(N: int, pieces) -> TruncatedOp:
+    """The pieces' operator on v_0..v_{N-1}, with the growth bound that
+    a*t + b <= ceil(a/M)*i + b for i = M*t + r gives."""
+    rows = [0] * N
+    for M, r, lowest, targets in pieces:
+        t0 = max(0, -((r - lowest) // M))
+        for a, b in targets:
+            for i, j in zip(range(M * t0 + r, N, M), range(a * t0 + b, N, a)):
+                rows[i] ^= 1 << j
+    slope = max([1] + [-(-a // M) for M, _, _, targets in pieces for a, _ in targets])
+    offset = max([0] + [b for _, _, _, targets in pieces for _, b in targets])
     return TruncatedOp(N, tuple(rows), slope, offset)
 
 
 def build_R_truncated(N: int) -> dict[str, TruncatedOp]:
     """The seven operators of the nontriviality witness, truncated to size N.
 
-    f doubles indices, g doubles and shifts, p shifts down, s shifts up and
-    doubles; a, b, c are the closed forms obtained by composing the block
-    identifications of the even/odd splitting (tests re-derive them from
-    the block maps directly).
+    Each is built from its pieces in _R_PIECES: f doubles indices, g doubles
+    and shifts, p shifts down, s shifts up and doubles; a, b, c are the
+    closed forms obtained by composing the block identifications of the
+    even/odd splitting (tests re-derive them from the block maps directly).
     """
     if N < 8:
         raise ValueError("need N >= 8")
-    p = _op_from_map(N, lambda i: (i - 1,) if i else (), 1, 0)
-    s = _op_from_map(N, lambda i: (i + 1, 2 * i + 2), 2, 2)
-    # the two-case diagram formulas collapse to uniform shifts: acting by
-    # a sends v_m to v_{m-1} on both parities, and b sends v_m to
-    # v_{m+1} + v_{2m+2}, so a and b agree with p and s pointwise and share
-    # their operators
-    return {
-        "f": _op_from_map(N, lambda i: (2 * i,), 2, 0),
-        "g": _op_from_map(N, lambda i: (2 * i + 1,), 2, 1),
-        "p": p,
-        "s": s,
-        "a": p,
-        "b": s,
-        "c": _op_from_map(N, lambda i: (i // 2,) if i % 2 == 0 else (), 1, 0),
-    }
+    built = {pieces: _truncate(N, pieces) for pieces in dict.fromkeys(_R_PIECES.values())}
+    return {key: built[pieces] for key, pieces in _R_PIECES.items()}
 
 
 def _growth(p: NcPoly, ops: Mapping[str, TruncatedOp]) -> tuple[int, int]:

@@ -34,7 +34,6 @@ from lch.reps import (
     torus_rep,
     verify_matrix_rep,
     verify_R_relations,
-    _op_from_map,
     _search,
 )
 from oracles import exhaustive_augmentations
@@ -556,11 +555,20 @@ def test_verify_R_relations_rejects_small_truncation():
         verify_R_relations(32)
 
 
+def _corrupted_b(N):
+    # b without its index-doubling summand: v_i -> v_{i+1}
+    return TruncatedOp(N, tuple(1 << (i + 1) if i + 1 < N else 0 for i in range(N)), 2, 2)
+
+
+def _wrong_f(N):
+    # f sending v_i to v_{2i+1} instead of v_{2i}
+    return TruncatedOp(N, tuple(1 << (2 * i + 1) if 2 * i + 1 < N else 0 for i in range(N)), 2, 1)
+
+
 def test_corrupted_b_breaks_relations():
     N = 256
     ops = dict(build_R_truncated(N))
-    # drop the index-doubling summand from b
-    ops["b"] = _op_from_map(N, lambda i: (i + 1,), 2, 2)
+    ops["b"] = _corrupted_b(N)
     assert not check_R_relations(ops, N).ok
 
 
@@ -591,7 +599,7 @@ def test_wrong_f_fails_exactly_its_identities(monkeypatch):
 
     def wrong_f(N):
         ops = dict(real(N))
-        ops["f"] = _op_from_map(N, lambda i: (2 * i + 1,), 2, 1)
+        ops["f"] = _wrong_f(N)
         return ops
 
     monkeypatch.setattr(reps_module, "build_R_truncated", wrong_f)
@@ -621,8 +629,8 @@ def _full_evaluation_lines(ops, N, table):
 
 _R_MUTANTS = {
     "real": lambda N: {},
-    "corrupted_b": lambda N: {"b": _op_from_map(N, lambda i: (i + 1,), 2, 2)},
-    "wrong_f": lambda N: {"f": _op_from_map(N, lambda i: (2 * i + 1,), 2, 1)},
+    "corrupted_b": lambda N: {"b": _corrupted_b(N)},
+    "wrong_f": lambda N: {"f": _wrong_f(N)},
 }
 
 
@@ -662,6 +670,82 @@ def test_truncated_op_growth_validation():
         TruncatedOp(4, (0, 0, 0, 0), 0, 0)
     with pytest.raises(ValueError):
         TruncatedOp(4, (0, 0), 1, 0)
+
+
+@pytest.mark.parametrize("row", [1 << 70, -1])
+def test_truncated_op_rejects_rows_outside_the_truncation(row):
+    rows = (0,) * 10 + (row,) + (0,) * 53
+    with pytest.raises(ValueError, match="not a bitmask over 64 coordinates"):
+        ops = {**build_R_truncated(64), "b": TruncatedOp(64, rows, 2, 2)}
+        check_R_relations(ops, 64)
+
+
+# ---- the operator table on every index ----
+
+def _image_of_class(pieces, alpha, beta, T0):
+    """Image of v_i for all i = alpha*t + beta, t >= T0, as a set of (alpha, beta).
+
+    alpha = 0 is the single index beta.  Each piece must split the class
+    cleanly: its modulus divides alpha, and its guard is settled at t = T0.
+    """
+    out = set()
+    for M, r, lowest, targets in pieces:
+        assert alpha % M == 0, f"modulus {M} splits the class {alpha}t + {beta}"
+        if beta % M != r:
+            continue
+        if alpha * T0 + beta < lowest:
+            assert alpha == 0, f"guard i >= {lowest} unsettled on {alpha}t + {beta}"
+            continue
+        for a, b in targets:
+            out ^= {(a * alpha // M, a * (beta - r) // M + b)}
+    return out
+
+
+def _failing_identities(table, M=64, T0=4):
+    """Names of the _R_CHECKS identities that fail on some v_i, untruncated.
+
+    Index classes i = M*t + r with t >= T0 are compared as mod-2 sets of
+    affine indices; every i < M*(T0+1) is also checked by itself.
+    """
+    starts = [(M, r) for r in range(M)] + [(0, i) for i in range(M * (T0 + 1))]
+    failing = []
+    for name, left, right in reps_module._R_CHECKS:
+        words = (parse(left, F2) + parse(right, F2)).terms
+        for start in starts:
+            value = set()
+            for word in words:
+                indices = {start}
+                for g in word:
+                    image = set()
+                    for alpha, beta in indices:
+                        image ^= _image_of_class(table[g], alpha, beta, T0)
+                    indices = image
+                value ^= indices
+            if value:
+                failing.append(name)
+                break
+    return failing
+
+
+def test_operator_table_satisfies_every_identity_on_every_index():
+    assert _failing_identities(reps_module._R_PIECES) == []
+
+
+_UNDOUBLED = ((1, 0, 0, ((1, 1),)),)  # b = s without its doubling summand
+_PIECE_MUTANTS = {
+    "undoubled_b": ({"b": _UNDOUBLED, "s": _UNDOUBLED},
+                    ["1 + c(1+ab) + ac(1+ba)", "1 + (1+ab)c", "1 + (1+ba)ac",
+                     "s o p = f + 1", "p o s = g + 1"]),
+    "odd_f": ({"f": ((1, 0, 0, ((2, 1),)),)}, ["s o p = f + 1", "p o g = f"]),
+    "c_halves_odd": ({"c": ((2, 0, 0, ((1, 0),)), (2, 1, 0, ((1, 0),)))},
+                     ["1 + c(1+ab) + ac(1+ba)", "(1+ba)c"]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_PIECE_MUTANTS))
+def test_piece_mutant_fails_exactly_its_identities(mutant):
+    pieces, failing = _PIECE_MUTANTS[mutant]
+    assert _failing_identities({**reps_module._R_PIECES, **pieces}) == failing
 
 
 # ---- representation files ----
