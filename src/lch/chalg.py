@@ -353,15 +353,14 @@ def _substitute_resolved(value: NcPoly, done: Mapping[str, NcPoly]) -> NcPoly:
 
 def _backing_relation(
     table: Mapping[str, NcPoly],
-    order: Sequence[str],
     gen: str,
     image: NcPoly,
     ring: str,
 ) -> Optional[str]:
     want = NcPoly.gen(gen, ring) - image
     wneg = -want
-    for name in order:
-        if table[name] == want or table[name] == wneg:
+    for name, value in table.items():
+        if value == want or value == wneg:
             return name
     return None
 
@@ -390,8 +389,7 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
                                    f"{sorted(names - known)}")
     ring = rs.ring
     table = rs.table()
-    order = list(table.keys())
-    deps: dict[str, frozenset[str]] = {name: frozenset({name}) for name in order}
+    deps: dict[str, frozenset[str]] = {name: frozenset({name}) for name in table}
     registered: list[str] = []
     derive: Optional[Callable[[NcPoly], NcPoly]] = None
 
@@ -430,7 +428,7 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
             dep = deps[step.source]
             bad = None
             for g, p in step.rules:
-                backing = _backing_relation(table, order, g, p, ring)
+                backing = _backing_relation(table, g, p, ring)
                 if backing is None:
                     bad = g
                     break
@@ -458,7 +456,6 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
             return fail(i, f"unknown step type {type(step).__name__}")
         table[step.name] = value
         deps[step.name] = dep
-        order.append(step.name)
         registered.append(step.name)
     return CertReport(True, table, deps, tuple(registered))
 
@@ -521,7 +518,7 @@ def adjoin_and_derive(rs: RelationSet, a: NcPoly, b: NcPoly, cert: Certificate) 
     if not cert.steps or not isinstance(cert.steps[-1], AssertUnitStep):
         return NoRepVerdict(False, "certificate does not end with assert-unit", report)
 
-    names = list(rs2.table().keys()) + list(report.registered)
+    names = list(report.table)
     first_use = None
     for idx, name in enumerate(names):
         if name != "adjoined" and "adjoined" in report.deps[name]:

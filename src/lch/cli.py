@@ -14,7 +14,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import chalg, dga as dgamod, reps
 from .freealg import F2, ZT, NcPoly, parse as parse_poly
@@ -26,6 +26,8 @@ EXIT_USAGE = 2
 
 _RINGS = {"f2": F2, "zt": ZT}
 
+_T = TypeVar("_T")
+
 
 def _read(path: str) -> str:
     try:
@@ -34,12 +36,17 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_dga(path: str) -> dgamod.DGA:
+def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
+    """parse applied to the file's text; a parse error names the file."""
     text = _read(path)
     try:
-        return dgamod.deserialize(text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_dga(path: str) -> dgamod.DGA:
+    return _parse_file(path, dgamod.deserialize)
 
 
 def _front_from_args(args) -> "FrontDiagram":
@@ -47,12 +54,10 @@ def _front_from_args(args) -> "FrontDiagram":
 
 
 def _element_from_file(path: str, ring: str) -> NcPoly:
-    body = "\n".join(ln for ln in _read(path).splitlines()
-                     if not ln.strip().startswith("#"))
-    try:
-        return parse_poly(body, ring)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    def parse(text: str) -> NcPoly:
+        return parse_poly("\n".join(ln for ln in text.splitlines()
+                                    if not ln.strip().startswith("#")), ring)
+    return _parse_file(path, parse)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -129,9 +134,9 @@ def cmd_verify_unit(args) -> int:
 def _load_cert(args):
     """The DGA, and the certificate's steps and directives in its ring."""
     g = _load_dga(args.dga)
-    text = _read(args.cert)
     ring = g.presentation.ring
-    return g, chalg.parse_certificate(text, ring=ring), chalg.parse_cert_directives(text, ring=ring)
+    return g, *_parse_file(args.cert, lambda text: (chalg.parse_certificate(text, ring=ring),
+                                                    chalg.parse_cert_directives(text, ring=ring)))
 
 
 def cmd_verify_cert(args) -> int:
@@ -156,7 +161,7 @@ def cmd_verify_norep(args) -> int:
 
 def cmd_verify_rep(args) -> int:
     g = _load_dga(args.dga)
-    rho = reps.deserialize_rep(_read(args.rep))
+    rho = _parse_file(args.rep, reps.deserialize_rep)
     ok = reps.verify_matrix_rep(g, rho)
     print(f"representation of dimension {rho.n}: {'verified' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_FAIL

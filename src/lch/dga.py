@@ -308,14 +308,11 @@ def _apply_tau(coef: Coef, s: int, dexp: int) -> Coef:
     return {e: c for e, c in out.items() if c}
 
 
-def _solve_gf2(rows: list[tuple[set[str], int]], variables: list[str]):
-    """Solve equations sum_{v in S} e_v = bit over GF(2); None if inconsistent."""
-    idx = {v: i for i, v in enumerate(variables)}
+def _solve_gf2(rows: list[tuple[int, int]]) -> Optional[int]:
+    """Solve equations parity(vec & e) = bit over GF(2), each vec a bitmask
+    over the variables; one solution e as a bitmask, or None if inconsistent."""
     pivots: dict[int, tuple[int, int]] = {}
-    for support, bit in rows:
-        vec = 0
-        for v in support:
-            vec ^= 1 << idx[v]
+    for vec, bit in rows:
         while vec:
             p = vec.bit_length() - 1
             if p not in pivots:
@@ -326,15 +323,11 @@ def _solve_gf2(rows: list[tuple[set[str], int]], variables: list[str]):
             bit ^= pb
         if vec == 0 and bit:
             return None
-    sol = [0] * len(variables)
+    sol = 0
     for p in sorted(pivots):
         vec, bit = pivots[p]
-        v = bit
-        for qq in range(p):
-            if vec >> qq & 1:
-                v ^= sol[qq]
-        sol[p] = v
-    return {v: sol[idx[v]] for v in variables}
+        sol |= (bit ^ ((vec & sol).bit_count() & 1)) << p
+    return sol
 
 
 def dga_diag_equivalent(g1: DGA, g2: DGA):
@@ -352,8 +345,9 @@ def dga_diag_equivalent(g1: DGA, g2: DGA):
     if (p1.grading or {}) != (p2.grading or {}) or p1.modulus != p2.modulus:
         return None
     gens = list(p1.generators)
+    bit_of = {g: 1 << i for i, g in enumerate(gens)}
     for s, dexp in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        rows: list[tuple[set[str], int]] = []
+        rows: list[tuple[int, int]] = []
         ok = True
         for g in gens:
             t1, t2 = g1.differential[g].terms, g2.differential[g].terms
@@ -370,18 +364,18 @@ def dga_diag_equivalent(g1: DGA, g2: DGA):
                 else:
                     ok = False
                     break
-                support = {g}
+                support = bit_of[g]
                 for letter in w:
-                    support ^= {letter}
+                    support ^= bit_of[letter]
                 rows.append((support, bit))
             if not ok:
                 break
         if not ok:
             continue
-        sol = _solve_gf2(rows, gens)
+        sol = _solve_gf2(rows)
         if sol is None:
             continue
-        eps = {g: (-1) ** sol[g] for g in gens}
+        eps = {g: -1 if sol & bit_of[g] else 1 for g in gens}
         tau = ("-" if s < 0 else "") + ("t" if dexp == 1 else "t^-1")
         return eps, tau
     return None

@@ -28,11 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-# crossing grading = this sign times (potential(upper west strand) -
-# potential(lower west strand)); pinned by the known odd-grading set of the
-# 23-generator bundled knot and by degree -1 homogeneity of both appendices
-CROSSING_GRADING_SIGN = 1
-
 Segment = tuple[int, int]  # (column, slot)
 
 
@@ -230,7 +225,10 @@ def maslov_grading(front: FrontDiagram) -> GradingTable:
     for j, ev in enumerate(front.events):
         if ev.kind == "X":
             c, d = ev.slots
-            g = CROSSING_GRADING_SIGN * (tr.potential[(j, c)] - tr.potential[(j, d)])
+            # potential(upper west strand) - potential(lower west strand), with
+            # the sign pinned by the known odd-grading set of the 23-generator
+            # bundled knot and by degree -1 homogeneity of both appendices
+            g = tr.potential[(j, c)] - tr.potential[(j, d)]
             grading[ev.name] = g % modulus if modulus else g
         elif ev.kind == "R":
             grading[ev.name] = 1 % modulus if modulus else 1

@@ -89,7 +89,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def encode_matrix(m: Mat, n: int) -> int:
-    """Row-major bit encoding; entry (0,0) is the least significant bit."""
+    """Row-major bit encoding: entry (i, j) is bit i*n + j of the code."""
     code = 0
     for i, row in enumerate(m):
         code |= row << (i * n)
@@ -97,6 +97,7 @@ def encode_matrix(m: Mat, n: int) -> int:
 
 
 def decode_matrix(code: int, n: int) -> Mat:
+    """The matrix whose encode_matrix code is code."""
     mask = (1 << n) - 1
     return tuple((code >> (i * n)) & mask for i in range(n))
 
@@ -220,18 +221,19 @@ def _product_table(n: int) -> tuple[tuple[int, ...], ...]:
     """table[x][y] is the code of the product of the matrices coded x and y.
 
     Built on first use for each n <= 3 and shared by every search after.
-    For fixed x the map y -> xy is linear, and x E_rc is column r of x moved
-    to column c, so each row is a subset-XOR table over the columns of x.
+    The product is bilinear, so the n^4 products E_b E_k of elementary
+    matrices, each one mat_mul, determine it: x E_k is the XOR of E_b E_k
+    over the set bits b of x, and row x is the subset-XOR table of those
+    n^2 values.
     Entries are drawn from one list of codes, so equal entries share an int
     object.
     """
-    nn = n * n
-    col_mask = sum(1 << (r * n) for r in range(n))
-    codes = list(range(1 << nn))
-    return tuple(
-        tuple(map(codes.__getitem__,
-                  _subset_xor(0, [((x >> (b // n)) & col_mask) << (b % n) for b in range(nn)])))
-        for x in codes)
+    elementary = [decode_matrix(1 << b, n) for b in range(n * n)]
+    # columns[k][x] is the code of x E_k
+    columns = [_subset_xor(0, [encode_matrix(mat_mul(e, f), n) for e in elementary])
+               for f in elementary]
+    codes = list(range(1 << (n * n)))
+    return tuple(tuple(map(codes.__getitem__, _subset_xor(0, row))) for row in zip(*columns))
 
 
 def _walk(levels: Optional[list], n: int, budget: float):
@@ -254,8 +256,6 @@ def _walk(levels: Optional[list], n: int, budget: float):
     count = 1 << nn
     ident = encode_matrix(mat_identity(n), n)
     mul = _product_table(n) if n <= 3 else None
-    row_mask = (1 << n) - 1
-    col_mask = sum(1 << (r * n) for r in range(n))
     images = [0] * len(levels)
 
     def product(w: tuple[int, ...]) -> int:
@@ -272,6 +272,12 @@ def _walk(levels: Optional[list], n: int, budget: float):
             m = encode_matrix(mm, n)
         return m
 
+    def value(const: int, words: list) -> int:
+        acc = ident if const else 0
+        for w in words:
+            acc ^= product(w)
+        return acc
+
     def enumerate_level(i: int, closing: list):
         # yields each candidate that passes, trying none the budget would
         # not pay for: the driver charges up to the next yield
@@ -279,13 +285,7 @@ def _walk(levels: Optional[list], n: int, budget: float):
             if nodes + cand + 1 - tried[i] > budget:
                 return
             images[i] = cand
-            for const, words in closing:
-                acc = ident if const else 0
-                for w in words:
-                    acc ^= product(w)
-                if acc:
-                    break
-            else:
+            if not any(value(const, words) for const, words in closing):
                 yield cand
 
     # zeros of each affine map solved so far, keyed by (base, *units), so
@@ -298,23 +298,16 @@ def _walk(levels: Optional[list], n: int, budget: float):
         base = 0
         units = [0] * nn
         for shift, const, plain, linear in system:
-            v = ident if const else 0
-            for w in plain:
-                v ^= product(w)
-            base ^= v << shift
+            base ^= value(const, plain) << shift
             for before, after in linear:
                 a = product(before)
                 b = product(after) if a else 0
                 if not b:
                     continue
-                # A E_rc B is column r of A times row c of B; on codes that
-                # outer product is one carry-free integer multiplication
-                for r in range(n):
-                    column = (a >> r) & col_mask
-                    if column:
-                        column <<= shift
-                        for c in range(n):
-                            units[r * n + c] ^= ((b >> (c * n)) & row_mask) * column
+                # the unit at bit k is A E_k B, two lookups in the table
+                row = mul[a]
+                for k in range(nn):
+                    units[k] ^= mul[row[1 << k]][b] << shift
         affine = (base, *units)
         zeros = solved.get(affine)
         if zeros is None:
@@ -775,8 +768,8 @@ def verify_R_relations(N: int = 256) -> RRelationReport:
 def serialize_rep(rho: MatRepAssignment) -> str:
     lines = [f"rep n={rho.n}"]
     for g in sorted(rho.images, key=lambda name: word_key((name,))):
-        bits = "".join(str((rho.images[g][i] >> j) & 1)
-                       for i in range(rho.n) for j in range(rho.n))
+        # the code's bits, least significant first
+        bits = f"{encode_matrix(rho.images[g], rho.n):0{rho.n * rho.n}b}"[::-1]
         lines.append(f"map {g} = {bits}")
     return "\n".join(lines) + "\n"
 
@@ -803,6 +796,5 @@ def deserialize_rep(text: str) -> MatRepAssignment:
             raise ValueError(f"duplicate image for {gen}")
         if len(bits) != n * n or set(bits) - {"0", "1"}:
             raise ValueError(f"image of {gen} must be {n * n} bits")
-        images[gen] = tuple(
-            sum(int(bits[i * n + j]) << j for j in range(n)) for i in range(n))
+        images[gen] = decode_matrix(int(bits[::-1], 2), n)
     return MatRepAssignment(n, images)

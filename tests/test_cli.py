@@ -259,6 +259,15 @@ def test_verify_cert_rejects_unknown_generators(tmp_path, capsys, text, name):
     assert err == f"error: relation {name!r} uses unknown generators ['x99']\n"
 
 
+@pytest.mark.parametrize("check", ["cert", "norep"])
+def test_verify_cert_parse_error_names_the_file(tmp_path, capsys, check):
+    cert = tmp_path / "c.cert"
+    cert.write_text("bogus step\n")
+    code, out, err = run(capsys, "verify", check, "--dga", K2_DGA, "--cert", str(cert))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {cert}: line 1: unrecognized step 'bogus step'\n"
+
+
 @pytest.mark.parametrize("cyclic,failure", [
     (False, "rule 'x1149' not backed by a registered relation"),
     (True, "substitution rules are cyclic"),
@@ -314,6 +323,14 @@ def test_verify_rep_rejects_images_of_unknown_generators(tmp_path, capsys, name)
                          "--rep", str(rep))
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: image for unknown generator {name}\n"
+
+
+def test_verify_rep_parse_error_names_the_file(tmp_path, capsys):
+    rep = tmp_path / "bad.rep"
+    rep.write_text("rep n=2\nmap x1 = 010\n")
+    code, out, err = run(capsys, "verify", "rep", "--dga", K1_DGA, "--rep", str(rep))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {rep}: image of x1 must be 4 bits\n"
 
 
 def test_verify_torus(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -81,6 +82,43 @@ def test_mat_mul_associative(x, y, z):
 def test_encode_decode_round_trip(n, data):
     code = data.draw(st.integers(0, (1 << (n * n)) - 1))
     assert encode_matrix(decode_matrix(code, n), n) == code
+
+
+def _entrywise_product(x: int, y: int, n: int) -> int:
+    """The code of the product of the matrices coded x and y, entry by entry:
+    entry (i, j), at bit i*n + j, is the parity of sum_k x_ik y_kj."""
+    code = 0
+    for i in range(n):
+        for j in range(n):
+            bit = 0
+            for k in range(n):
+                bit ^= (x >> (i * n + k)) & (y >> (k * n + j)) & 1
+            code |= bit << (i * n + j)
+    return code
+
+
+@given(st.integers(1, 6), st.data())
+def test_mat_mul_matches_entrywise_product(n, data):
+    x, y = (data.draw(st.integers(0, (1 << (n * n)) - 1)) for _ in range(2))
+    product = mat_mul(decode_matrix(x, n), decode_matrix(y, n))
+    assert encode_matrix(product, n) == _entrywise_product(x, y, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_table_matches_entrywise_product(n):
+    # the search's table is built from mat_mul, so it is checked against a
+    # product that shares no code with it: every pair at n <= 2, a seeded
+    # sample at n = 3
+    table = reps_module._product_table(n)
+    count = 1 << (n * n)
+    assert len(table) == count and all(len(row) == count for row in table)
+    if n < 3:
+        pairs = list(itertools.product(range(count), repeat=2))
+    else:
+        rng = random.Random(19)
+        pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(4000)]
+    for x, y in pairs:
+        assert table[x][y] == _entrywise_product(x, y, n), (x, y)
 
 
 def test_evaluate_poly_unit_is_identity(trefoil):
