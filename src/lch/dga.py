@@ -405,6 +405,7 @@ def torus_front(p: int, q: int) -> tuple[FrontDiagram, TorusLabeling]:
         raise ValueError(f"need gcd(p,q) = 1, got p={p} q={q}")
     n_slots = 2 * q
     strand_at: dict[int, tuple[str, int]] = {}
+    slot_of: dict[tuple[str, int], int] = {}  # inverse of strand_at
     events: list[Event] = []
     xlab: dict[tuple[int, int], str] = {}
     ylab: dict[tuple[int, int], str] = {}
@@ -416,48 +417,46 @@ def torus_front(p: int, q: int) -> tuple[FrontDiagram, TorusLabeling]:
         counter += 1
         return f"x{counter}"
 
-    def slot_of(strand: tuple[str, int]) -> int:
-        for s, st in strand_at.items():
-            if st == strand:
-                return s
-        raise KeyError(strand)
+    def place(s: int, strand: tuple[str, int]) -> None:
+        strand_at[s] = strand
+        slot_of[strand] = s
+
+    def cross(a: int, b: int) -> str:
+        name = fresh()
+        events.append(Event("X", (a, b), name=name))
+        sa, sb = strand_at[a], strand_at[b]
+        place(a, sb)
+        place(b, sa)
+        return name
 
     # outer left cusps: upper branch is v_k, lower branch is m_{q-p+k}
     outer = sorted(set(range(1, p + 1)) | set(range(2 * q - p + 1, 2 * q + 1)))
     for k in range(1, p + 1):
         a, b = outer[2 * k - 2], outer[2 * k - 1]
         events.append(Event("L", (a, b)))
-        strand_at[a] = ("v", k)
-        strand_at[b] = ("m", q - p + k)
+        place(a, ("v", k))
+        place(b, ("m", q - p + k))
     # fan: v_j climbs past the lower branches above it
     for j in range(2, p + 1):
         for i in range(j - 1, 0, -1):
-            a = slot_of(("m", q - p + i))
-            b = slot_of(("v", j))
-            name = fresh()
-            events.append(Event("X", (a, b), name=name))
-            xlab[(i, j)] = name
-            strand_at[a], strand_at[b] = strand_at[b], strand_at[a]
+            xlab[(i, j)] = cross(slot_of[("m", q - p + i)], slot_of[("v", j)])
     # inner left cusps
     for i in range(1, q - p + 1):
         a, b = p + 2 * i - 1, p + 2 * i
         events.append(Event("L", (a, b)))
-        strand_at[a] = ("m", i)
-        strand_at[b] = ("v", p + i)
+        place(a, ("m", i))
+        place(b, ("v", p + i))
     # staircase: m_i climbs to sit just below v_i
     for i in range(1, q + 1):
         while True:
-            s = slot_of(("m", i))
+            s = slot_of[("m", i)]
             above = strand_at[s - 1]
             if above == ("v", i):
                 break
             kind, j = above
             if kind != "v" or j <= i:
                 raise RuntimeError(f"torus staircase met {above} above m_{i}")
-            name = fresh()
-            events.append(Event("X", (s - 1, s), name=name))
-            ylab[(i, j)] = name
-            strand_at[s - 1], strand_at[s] = strand_at[s], strand_at[s - 1]
+            ylab[(i, j)] = cross(s - 1, s)
     # right cusps top to bottom
     ncross = counter
     for i in range(1, q + 1):

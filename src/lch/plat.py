@@ -10,13 +10,16 @@ cusps pairing the same slots.
 Generators are named x1..xm for the crossings in word order, continuing
 with the right cusps top to bottom.
 
-Orientation comes from walking the knot starting east along the first
-segment of the topmost slot.  That walk, `FrontDiagram.traversal`, goes on
-to every other component and refuses a closure with more than one, so
-invariants and gradings are only ever computed for knots.  A crossing counts +1 toward the writhe when
-its two strands point the same way (both east or both west), -1 otherwise.
-A cusp is a down cusp when the walk enters it along the upper branch.
-Then tb = writhe - #(right cusps) and r = (down - up)/2.
+Orientation comes from walking the knot east from the upper branch of the
+first left cusp.  The walk, `FrontDiagram.traversal`, goes piece by piece: a
+piece is a strand between two events, named by its west event and its slot.
+It goes on to every other component and refuses a closure with more than
+one, so invariants and gradings are only ever computed for knots.
+
+A crossing counts +1 toward the writhe when its two strands point the same
+way (both east or both west), -1 otherwise.  A cusp is a down cusp when the
+walk enters it along the upper branch.  Then tb = writhe - #(right cusps)
+and r = (down - up)/2.
 
 The Maslov potential drops by 1 moving through a cusp from the upper
 branch to the lower branch.  Around the knot it drifts by 2r, so gradings
@@ -27,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-Segment = tuple[int, int]  # (column, slot)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,9 @@ class Traversal:
     crossing_signs: dict[str, int]
     down_cusps: int
     up_cusps: int
-    potential: dict[Segment, int]
+    # per crossing: the Maslov potential of its upper west strand minus that
+    # of its lower west strand
+    potential: dict[str, int]
     drift: int  # potential change after one full loop
 
 
@@ -94,17 +97,15 @@ class FrontDiagram:
         self.n_slots = n_slots
         self.events = tuple(events)
         live: set[int] = set()
-        # live_after[j] = live slots, top to bottom, between events j-1 and j
-        live_after = [()]
         for ev in self.events:
             c, d = ev.slots
             if c < 1:
                 raise ValueError(f"slot {c} below 1")
             if d > n_slots:
                 raise ValueError(f"slot {d} beyond n_slots={n_slots}")
-            between = {s for s in live if c < s < d}
+            between = [s for s in range(c + 1, d) if s in live]
             if between:
-                raise ValueError(f"{ev} straddles live slots {sorted(between)}")
+                raise ValueError(f"{ev} straddles live slots {between}")
             if ev.kind == "L":
                 if c in live or d in live:
                     raise ValueError(f"{ev} opens already-live slots")
@@ -114,10 +115,8 @@ class FrontDiagram:
                     raise ValueError(f"{ev} touches dead slots")
                 if ev.kind == "R":
                     live -= {c, d}
-            live_after.append(tuple(sorted(live)))
         if live:
             raise ValueError(f"slots {sorted(live)} never close")
-        self.live_after: tuple[tuple[int, ...], ...] = tuple(live_after)
         self.crossing_names = tuple(ev.name for ev in self.events if ev.kind == "X")
         self.cusp_names = tuple(ev.name for ev in self.events if ev.kind == "R")
         names = self.crossing_names + self.cusp_names
@@ -132,66 +131,76 @@ class FrontDiagram:
 
     @cached_property
     def traversal(self) -> Traversal:
-        """Walk every component east from its first unvisited segment.
+        """Walk every component piece by piece, east from its first unvisited piece.
 
-        Segments are taken left to right and top to bottom, so the first walk
-        starts on the topmost slot's first segment.  Raises unless the closure
-        is a knot.
+        Event j has a port on each of its slots, 2j on the upper and 2j + 1
+        on the lower, and a piece is named by the port of its west event.
+        Pieces are taken in event order, upper first, so the first walk
+        starts east from the upper branch of the first left cusp.  Raises
+        unless the closure is a knot.
         """
-        heading: dict[Segment, int] = {}  # +1 east, -1 west
-        potential: dict[Segment, int] = {}
+        events = self.events
+        kinds = [ev.kind for ev in events]
+        # east_end[p] is the port where piece p meets its east event, and
+        # west_end[port] the piece that meets that port
+        east_end = [0] * (2 * len(events))
+        west_end = [0] * (2 * len(events))
+        on: dict[int, int] = {}  # slot -> the piece now on it
+        for j, ev in enumerate(events):
+            c, d = ev.slots
+            if ev.kind != "L":
+                p, q = on[c], on[d]
+                west_end[2 * j], west_end[2 * j + 1] = p, q
+                east_end[p], east_end[q] = 2 * j, 2 * j + 1
+            if ev.kind != "R":
+                on[c], on[d] = 2 * j, 2 * j + 1
+        heading = [0] * len(east_end)  # +1 east, -1 west, 0 not walked
+        potential = [0] * len(east_end)
         down = up = components = drift = 0
-        for col, live in enumerate(self.live_after):
-            for slot in live:
-                if (col, slot) in heading:
-                    continue
-                components += 1
-                start = dart = (col, slot, 1)
-                pot = 0
-                while True:
-                    j, s, di = dart
-                    if (j, s) in heading:
-                        if dart != start:
-                            raise ValueError(f"traversal self-collision at {(j, s)}")
-                        break
-                    heading[(j, s)] = di
-                    potential[(j, s)] = pot
-                    dart = self._step(dart)
-                    # a turn is a cusp; turning onto the lower branch is a down cusp
-                    if dart[2] != di:
-                        if dart[1] > s:
-                            down += 1
-                            pot -= 1
-                        else:
-                            up += 1
-                            pot += 1
-                drift = pot
+        for start in range(len(east_end)):
+            if heading[start] or kinds[start >> 1] == "R":
+                continue
+            components += 1
+            piece, di, pot = start, 1, 0
+            while not heading[piece]:
+                heading[piece] = di
+                potential[piece] = pot
+                if di == 1:
+                    port = east_end[piece]
+                    if kinds[port >> 1] == "X":
+                        piece = port ^ 1
+                        continue
+                    # a right cusp turns west onto its other branch
+                    lower = not port & 1
+                    piece, di = west_end[port ^ 1], -1
+                else:
+                    if kinds[piece >> 1] == "X":
+                        piece = west_end[piece ^ 1]
+                        continue
+                    # a left cusp turns east onto its other branch
+                    lower = not piece & 1
+                    piece, di = piece ^ 1, 1
+                # turning onto the lower branch is a down cusp
+                if lower:
+                    down += 1
+                    pot -= 1
+                else:
+                    up += 1
+                    pot += 1
+            if piece != start or di != 1:
+                j, k = divmod(piece, 2)
+                raise ValueError(f"traversal self-collision at piece {(j, events[j].slots[k])}")
+            drift = pot
         if components != 1:
             raise ValueError(f"closure has {components} components, need a knot")
         signs: dict[str, int] = {}
-        for j, ev in enumerate(self.events):
+        differences: dict[str, int] = {}
+        for j, ev in enumerate(events):
             if ev.kind == "X":
-                c, d = ev.slots
-                signs[ev.name] = 1 if heading[(j, c)] == heading[(j, d)] else -1
-        return Traversal(signs, down, up, potential, drift)
-
-    def _step(self, dart: tuple[int, int, int]) -> tuple[int, int, int]:
-        j, s, di = dart
-        if di == 1:
-            ev = self.events[j]
-            c, d = ev.slots
-            if ev.kind == "X" and s in (c, d):
-                return (j + 1, d if s == c else c, 1)
-            if ev.kind == "R" and s in (c, d):
-                return (j, d if s == c else c, -1)
-            return (j + 1, s, 1)
-        ev = self.events[j - 1]
-        c, d = ev.slots
-        if ev.kind == "X" and s in (c, d):
-            return (j - 1, d if s == c else c, -1)
-        if ev.kind == "L" and s in (c, d):
-            return (j, d if s == c else c, 1)
-        return (j - 1, s, -1)
+                p, q = west_end[2 * j], west_end[2 * j + 1]
+                signs[ev.name] = 1 if heading[p] == heading[q] else -1
+                differences[ev.name] = potential[p] - potential[q]
+        return Traversal(signs, down, up, differences, drift)
 
 
 def build_front(word: PlatWord, base_cusp: str | None = None) -> FrontDiagram:
@@ -222,13 +231,12 @@ def maslov_grading(front: FrontDiagram) -> GradingTable:
     tr = front.traversal
     modulus = abs(tr.drift)
     grading: dict[str, int] = {}
-    for j, ev in enumerate(front.events):
+    for ev in front.events:
         if ev.kind == "X":
-            c, d = ev.slots
             # potential(upper west strand) - potential(lower west strand), with
             # the sign pinned by the known odd-grading set of the 23-generator
             # bundled knot and by degree -1 homogeneity of both appendices
-            g = tr.potential[(j, c)] - tr.potential[(j, d)]
+            g = tr.potential[ev.name]
             grading[ev.name] = g % modulus if modulus else g
         elif ev.kind == "R":
             grading[ev.name] = 1 % modulus if modulus else 1

@@ -1,12 +1,15 @@
-"""Brute-force oracles that the tests hold the library's searches against.
+"""Independent oracles that the tests hold the library against.
 
-They read the DGA directly and share no code with `lch.reps`, whose compiled
-search they check.
+The augmentation oracle reads the DGA directly and shares no code with
+`lch.reps`, whose compiled search it checks.  The segment walk reads a
+front's event list and shares no code with `lch.plat`, whose piece walk it
+checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from lch.dga import DGA
 from lch.freealg import F2
@@ -36,3 +39,76 @@ def exhaustive_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int
                for r in rels):
             out.append(eps)
     return out
+
+
+class SegmentWalk(NamedTuple):
+    crossing_signs: dict[str, int]
+    down_cusps: int
+    up_cusps: int
+    drift: int
+    potential: dict[str, int]  # per crossing: upper west segment minus lower
+
+
+def segment_walk(events, n_slots: int) -> SegmentWalk:
+    """Walk a front's closure one (column, slot) segment at a time.
+
+    Column j lies between events j - 1 and j.  Each component is walked east
+    from its first unvisited segment, columns left to right and slots top
+    to bottom.  A turn is a cusp: onto the lower branch it is a down cusp
+    and lowers the Maslov potential by 1, onto the upper branch an up cusp
+    that raises it.  Raises ValueError unless the closure is a knot.
+    """
+    live = [False] * (n_slots + 1)
+    columns: list[tuple[int, ...]] = [()]
+    for ev in events:
+        c, d = ev.slots
+        if ev.kind != "X":
+            live[c] = live[d] = ev.kind == "L"
+        columns.append(tuple(s for s in range(1, n_slots + 1) if live[s]))
+
+    def step(j: int, s: int, di: int) -> tuple[int, int, int]:
+        ev = events[j] if di == 1 else events[j - 1]
+        c, d = ev.slots
+        if s not in (c, d) or ev.kind == ("L" if di == 1 else "R"):
+            return (j + di, s, di)
+        other = d if s == c else c
+        if ev.kind == "X":
+            return (j + di, other, di)
+        return (j, other, -di)
+
+    heading: dict[tuple[int, int], int] = {}
+    potential: dict[tuple[int, int], int] = {}
+    down = up = components = drift = 0
+    for col, slots in enumerate(columns):
+        for slot in slots:
+            if (col, slot) in heading:
+                continue
+            components += 1
+            start = dart = (col, slot, 1)
+            pot = 0
+            while True:
+                j, s, di = dart
+                if (j, s) in heading:
+                    if dart != start:
+                        raise ValueError(f"segment walk collides at {(j, s)}")
+                    break
+                heading[(j, s)] = di
+                potential[(j, s)] = pot
+                dart = step(j, s, di)
+                if dart[2] != di:
+                    if dart[1] > s:
+                        down += 1
+                        pot -= 1
+                    else:
+                        up += 1
+                        pot += 1
+            drift = pot
+    if components != 1:
+        raise ValueError(f"closure has {components} components, need a knot")
+    signs, differences = {}, {}
+    for j, ev in enumerate(events):
+        if ev.kind == "X":
+            c, d = ev.slots
+            signs[ev.name] = 1 if heading[(j, c)] == heading[(j, d)] else -1
+            differences[ev.name] = potential[(j, c)] - potential[(j, d)]
+    return SegmentWalk(signs, down, up, drift, differences)

@@ -91,6 +91,12 @@ def test_dga_sweep_cap_is_usage_error(capsys):
     assert err == "error: disk sweep for x9 exceeded 52 states per slice\n"
 
 
+def test_dga_link_is_usage_error(capsys):
+    code, out, err = run(capsys, "dga", "", "--strands", "6")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: closure has 3 components, need a knot\n"
+
+
 def test_invariants_k1(capsys):
     code, out, _ = run(capsys, "invariants", "--strands", "8", refdata.K1_WORD)
     assert code == EXIT_OK

@@ -78,6 +78,13 @@ def test_build_front_rejects_links():
         build_front(parse_plat("", 4))
 
 
+def test_build_front_link_message_counts_components():
+    # three parallel unknots
+    with pytest.raises(ValueError) as err:
+        build_front(parse_plat("", 6))
+    assert str(err.value) == "closure has 3 components, need a knot"
+
+
 def test_unknot_front_has_one_generator():
     front = build_front(parse_plat("", 2))
     assert front.generator_names == ("x1",)
