@@ -76,7 +76,7 @@ def cmd_dga(args) -> int:
     front = _front_from_args(args)
     try:
         g = dgamod.compute_dga(front, _RINGS[args.ring])
-    except RuntimeError as exc:  # the disk sweep's state cap
+    except RuntimeError as exc:  # the disk sweep's cap on words held after a crossing
         raise ValueError(str(exc)) from None
     _emit(dgamod.serialize(g), args.out)
     return EXIT_OK

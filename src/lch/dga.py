@@ -1,26 +1,35 @@
 """Differential graded algebras of simple fronts by admissible-disk counting.
 
-The differential of a generator sweeps right to left from its event.  A
-disk state is the pair of slots its boundary occupies in the current
-column plus the negative corners collected so far on each boundary arc.
-At a crossing touching an endpoint the state either slides through or
-turns a convex corner; at a left cusp joining exactly the two endpoint
-slots it closes.  Every admissible embedded disk boundary is x-monotone
-on both arcs, so this interval sweep enumerates all of them.
+Every admissible embedded disk has one positive corner, at its east end, and
+a boundary that is x-monotone on both arcs: between events it occupies two
+slots u < l of each column.  So one pass over the events, west to east,
+computes every differential at once.  For each pair of slots it holds the
+corner words of the partial disks whose arcs sit on that pair, each closed
+by a left cusp to the west, as word -> coefficient.
 
-An event that touches neither slot of a state leaves it as it is, so each
-state is filed under the next event to the west that touches one of its
-slots, and the sweep visits only those events.  Each successor state is
-filed as it is made.  The cap on states, the number of events times the
-number of slots, still counts every partial disk that spans a column,
-filed or not, and is checked after each visited event.
+- A left cusp opens the empty word on its own pair; a boundary arc meeting
+  a cusp anywhere else would have to double back.
+- A generator's differential is what its own pair holds when the pass
+  reaches it, plus, at a right cusp, the cusp's own disk.
+- At a crossing x of slots a < b a partial disk on a or b either slides
+  through or turns a convex corner at x; one on exactly (a, b) would pinch
+  shut, and is dropped.  Slides move whole word sets from one pair to
+  another, so the work per crossing is the words on the pairs it touches.
 
 The corner word is read counterclockwise from the positive corner: upper
-arc east to west, then lower arc west to east.  Over Z[t,t^-1] a negative
-corner flips the sign exactly when it sits on the upper arc at a crossing
-of even grading parity.  The rule is pinned by requiring d^2 = 0 over
-Z[t,t^-1] on the bundled fronts and on random plats; the remaining freedom
-is a diagonal change of variables and does not affect any result.
+arc east to west, then lower arc west to east.  Going east, a corner on the
+upper arc is therefore prepended to the word, and one on the lower arc
+appended.  Over Z[t,t^-1] a negative corner flips the sign exactly when it
+sits on the upper arc at a crossing of even grading parity.  The rule is
+pinned by requiring d^2 = 0 over Z[t,t^-1] on the bundled fronts and on
+random plats; the remaining freedom is a diagonal change of variables and
+does not affect any result.
+
+The pass is bounded by its cap, twice the number of events times the number
+of slots, on the words it holds after each crossing.  Only a pass over the
+cap drops the pairs that no generator to the east reads; the table of
+needed pairs is built on the first overflow.  A pass still over the cap is
+refused.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from .freealg import (
     GradingError,
     NcPoly,
     Word,
+    _poly,
     parse,
     signed_derivation,
     specialize,
@@ -56,93 +66,48 @@ class DGA:
         return signed_derivation(self.presentation, self.differential)
 
 
-def _sweep_generator(front: FrontDiagram, j: int, ring: str,
-                     parity: dict[str, int], cap: int,
-                     touch: list[list[int]]) -> NcPoly:
-    """Sum of corner words of disks whose positive corner is event j.
-
-    `touch[k][s]` is the last event west of event k with slot s among its
-    slots, or -1.  Each successor state is filed as it is made, under the
-    next event west that touches one of its slots.  `live` counts the
-    partial disks that span the column west of the last visited event.  Only
-    a visited event changes that count, so checking it against `cap` after
-    each visited event refuses exactly where a column-by-column sweep would.
-    """
-    ev = front.events[j]
-    acc: dict[Word, Coef] = {}
-    # state = (upper slot, lower slot, upper-arc corners, lower-arc corners, sign)
-    u, l = ev.slots
-    west = touch[j]
-    # buckets[k] holds the partial disks waiting on event k; those no event
-    # west touches go under -1, that is into buckets[j], which is never taken
-    buckets: list[list] = [[] for _ in range(j + 1)]
-    buckets[max(west[u], west[l])].append((u, l, (), (), 1))
-    live = 1
-    for k in range(j - 1, -1, -1):
-        states = buckets[k]
-        if not states:
-            continue
-        e = front.events[k]
+def _needed_pairs(front: FrontDiagram) -> list[set[tuple[int, int]]]:
+    """needed[k]: the slot pairs, in the column just east of event k, whose
+    partial disks some generator further east reads.  One east-to-west pass."""
+    needed: list[set[tuple[int, int]]] = []
+    want: set[tuple[int, int]] = set()
+    for e in reversed(front.events):
+        needed.append(want)
         a, b = e.slots
-        west = touch[k]
-        wa, wb = west[a], west[b]
-        born = 0
-        # a state is filed here only if e touches one of its slots, and
-        # compute_dga refuses a right cusp west of another event: e is X or L
-        if e.kind == "X":
-            name = e.name
-            # of the 16 sign rules keyed by (arc, parity) exactly two give
-            # d^2 = 0 over Z[t,t^-1]: this one (upper arc, even parity) and
-            # its pointwise negation, which differ by a diagonal change; this
-            # one reproduces the bundled 23-generator data up to diagonal
-            # equivalence
-            flip = ring == ZT and parity[name] == 0
-            for u, l, up, lo, sg in states:
-                if a == u:
-                    if b == l:
-                        continue  # the disk would pinch shut; not admissible
-                    wl = west[l]
-                    buckets[wb if wb > wl else wl].append((b, l, up, lo, sg))
-                    born += 1
-                elif b == u:
-                    wl = west[l]
-                    buckets[wa if wa > wl else wl].append((a, l, up, lo, sg))  # slide first
-                    buckets[wb if wb > wl else wl].append(
-                        (u, l, up + (name,), lo, -sg if flip else sg))
-                    born += 2
-                elif a == l:
-                    wu = west[u]
-                    buckets[wu if wu > wb else wb].append((u, b, up, lo, sg))
-                    buckets[wu if wu > wa else wa].append((u, l, up, lo + (name,), sg))
-                    born += 2
-                else:  # b == l
-                    wu = west[u]
-                    buckets[wu if wu > wa else wa].append((u, a, up, lo, sg))
-                    born += 1
-        else:
-            # a left cusp closes the disk joining exactly its two slots; a
-            # boundary arc meeting it anywhere else would have to double back
-            for u, l, up, lo, sg in states:
-                if a == u and b == l:
-                    word = up + tuple(reversed(lo))
-                    slot = acc.setdefault(word, {})
-                    slot[0] = slot.get(0, 0) + sg
-        live += born - len(states)
-        if live > cap:
-            raise RuntimeError(
-                f"disk sweep for {ev.name} exceeded {cap} states per slice"
-            )
-    if live:
-        raise RuntimeError(f"disk sweep for {ev.name} left {live} open states")
-    if ev.kind == "R":  # the cusp's own disk: 1, or t^-1 at the base point over ZT
-        exp = -1 if ring == ZT and ev.name == front.base_cusp else 0
-        slot = acc.setdefault((), {})
-        slot[exp] = slot.get(exp, 0) + 1
-    return NcPoly(ring, acc)
+        if e.kind == "L":
+            want = {(u, l) for u, l in want if u not in (a, b) and l not in (a, b)}
+            continue
+        west = {(a, b)}
+        for u, l in want:  # the pairs each east pair is made from
+            if e.kind == "R" or a not in (u, l) and b not in (u, l):
+                west.add((u, l))
+            elif (u, l) == (a, b):
+                continue  # nothing reaches it: a disk on it pinches shut
+            elif u == a:
+                west.add((b, l))
+            elif u == b:
+                west.update(((a, l), (b, l)))
+            elif l == a:
+                west.update(((u, b), (u, a)))
+            else:  # l == b
+                west.add((u, a))
+        want = west
+    needed.reverse()
+    return needed
 
 
 def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
-    """DGA of a simple front (all right cusps east of everything else)."""
+    """DGA of a simple front (all right cusps east of everything else).
+
+    One west-to-east pass holds, per slot pair, the corner words of the
+    partial disks on it, and reads each generator's differential off its own
+    pair.  A corner on the upper arc is prepended to the word, and one on the
+    lower arc appended.  After each crossing the words held are counted
+    against `cap`, twice the number of events times the number of slots.
+    Over the cap, the pairs no generator to the east reads are dropped, and
+    a pass still over it raises RuntimeError("disk sweep for <crossing>
+    exceeded <cap> states per slice").
+    """
     last_non_r = max((k for k, e in enumerate(front.events) if e.kind != "R"),
                      default=-1)
     first_r = next((k for k, e in enumerate(front.events) if e.kind == "R"), None)
@@ -152,19 +117,84 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
     table = maslov_grading(front)
     if ring == ZT and table.modulus % 2:
         raise GradingError("ZT signs need a Z or even-modulus grading")
-    parity = {g: v % 2 for g, v in table.grading.items()}
-    cap = len(front.events) * front.n_slots
-    touch: list[list[int]] = []
-    row = [-1] * (front.n_slots + 1)
-    for k, e in enumerate(front.events):
-        touch.append(row)
-        row = row.copy()
-        row[e.slots[0]] = row[e.slots[1]] = k
-
+    mod2 = ring == F2
+    cap = 2 * len(front.events) * front.n_slots
+    # disks[u][l]: word -> coefficient for the partial disks on slots u < l
+    disks: list[dict[int, dict[Word, int]]] = [{} for _ in range(front.n_slots + 1)]
+    held = 0  # words in disks
+    needed = None
     differential: dict[str, NcPoly] = {}
     for k, e in enumerate(front.events):
-        if e.kind != "L":
-            differential[e.name] = _sweep_generator(front, k, ring, parity, cap, touch)
+        a, b = e.slots
+        upper_a = disks[a]
+        if e.kind == "L":
+            upper_a[b] = {(): 1}
+            held += 1
+            continue
+        words = upper_a.pop(b, {})
+        held -= len(words)
+        terms = [(w, 0, c) for w, c in words.items()]
+        if e.kind == "R":  # the cusp's own disk: 1, or t^-1 at the base point over ZT
+            terms.append(((), -1 if ring == ZT and e.name == front.base_cusp else 0, 1))
+            differential[e.name] = _poly(ring, terms)
+            continue
+        differential[e.name] = _poly(ring, terms)
+        x = (e.name,)
+        # of the 16 sign rules keyed by (arc, parity) exactly two give d^2 = 0
+        # over Z[t,t^-1]: this one (upper arc, even parity) and its pointwise
+        # negation, which differ by a diagonal change; this one reproduces the
+        # bundled 23-generator data up to diagonal equivalence
+        sign = -1 if ring == ZT and table.grading[e.name] % 2 == 0 else 1
+        for s in range(1, a):
+            # lower arc on a or b: (s, b) slides from (s, a), and (s, a)
+            # slides from (s, b) or turns a corner at x
+            row = disks[s]
+            if not row:
+                continue
+            west_a = row.pop(a, None)
+            west_b = row.pop(b, None)
+            if west_a:
+                row[b] = west_a
+                acc = west_b or {}
+                held -= len(acc)
+                for w, c in west_a.items():
+                    w += x
+                    c += acc.pop(w, 0)
+                    if mod2:
+                        c &= 1
+                    if c:
+                        acc[w] = c
+                held += len(acc)
+                if acc:
+                    row[a] = acc
+            elif west_b:
+                row[a] = west_b
+        # upper arc on a or b: (a, s) slides from (b, s), and (b, s) slides
+        # from (a, s) or turns a corner at x
+        upper_b = disks[b]
+        disks[a], disks[b] = upper_b, upper_a
+        for s, west_b in upper_b.items():
+            acc = upper_a.setdefault(s, {})
+            held -= len(acc)
+            for w, c in west_b.items():
+                w = x + w
+                c = sign * c + acc.pop(w, 0)
+                if mod2:
+                    c &= 1
+                if c:
+                    acc[w] = c
+            held += len(acc)
+            if not acc:
+                del upper_a[s]
+        if held > cap:
+            if needed is None:
+                needed = _needed_pairs(front)
+            for u, row in enumerate(disks):
+                for l in [l for l in row if (u, l) not in needed[k]]:
+                    held -= len(row.pop(l))
+            if held > cap:
+                raise RuntimeError(
+                    f"disk sweep for {e.name} exceeded {cap} states per slice")
 
     pres = GradedPresentation(front.generator_names, dict(table.grading),
                               ring, table.modulus)

@@ -86,9 +86,20 @@ def test_dga_unwritable_out_is_usage_error(tmp_path, capsys):
 
 
 def test_dga_sweep_cap_is_usage_error(capsys):
-    code, out, err = run(capsys, "dga", "--strands", "4", "1,1,1,1,1,3,1,1,2")
+    code, out, err = run(capsys, "dga", "--strands", "4", "2,2,2,1,3,1,1,1,3,1,3,3,2,3")
     assert code == EXIT_USAGE and out == ""
-    assert err == "error: disk sweep for x9 exceeded 52 states per slice\n"
+    assert err == "error: disk sweep for x11 exceeded 144 states per slice\n"
+
+
+@pytest.mark.parametrize("ring", ["f2", "zt"])
+def test_dga_worst_case_plat_exits_zero(capsys, ring):
+    # without pruning, the partial disks of this front number in the millions
+    word = "3,3,3,1,1,1,3,3,3,3,3,3,3,3,3,1,1,1,1,3,3,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"
+    code, out, err = run(capsys, "dga", "--strands", "4", "--ring", ring, word)
+    assert code == EXIT_OK and err == ""
+    last = "t^-1*1" if ring == "zt" else "1"
+    assert [ln for ln in out.splitlines() if ln.startswith("d ")] == [
+        "d x1 = 1", "d x4 = 1", "d x37 = 1", f"d x38 = {last}"]
 
 
 def test_dga_link_is_usage_error(capsys):

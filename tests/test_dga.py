@@ -323,33 +323,57 @@ def test_torus_ladder_serialization_is_pinned(p, q, ring):
 SWEEP_CAP = re.compile(r"disk sweep for \S+ exceeded \d+ states per slice")
 
 
+def _refusal(front, ring):
+    """The sweep-cap message of compute_dga, or None where it accepts."""
+    try:
+        compute_dga(front, ring)
+    except RuntimeError as exc:
+        assert type(exc) is RuntimeError and SWEEP_CAP.fullmatch(str(exc))
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("word,strands,message", [
-    ("3,1,1,3,3,3,1,3,2,3,1", 4, "disk sweep for x9 exceeded 60 states per slice"),
-    ("3,3,3,1,1,1,3,1,1,2", 4, "disk sweep for x10 exceeded 56 states per slice"),
-    # the sweep for x11 peaks at 69 states, one over the cap
-    ("2,2,3,3,3,1,1,3,1,1,2,3,3", 4, "disk sweep for x11 exceeded 68 states per slice"),
-    ("4,1,2,4,1,5,2,4,4,4,4,4,5", 6, "disk sweep for x15 exceeded 114 states per slice"),
-    ("3,3,1,2,2,2,4,1,4,4,2,2", 6, "disk sweep for x14 exceeded 108 states per slice"),
-    ("6,7,3,7,7,2,3,6,3,4,6,6,6,6", 8, "disk sweep for x17 exceeded 176 states per slice"),
-    ("7,4,2,3,4,1,4,6,1,6,6,6,6,4,1,1,7", 8, "disk sweep for x20 exceeded 200 states per slice"),
+    ("2,2,2,1,3,1,1,1,3,1,3,3,2,3", 4, "disk sweep for x11 exceeded 144 states per slice"),
+    # 232 words after x17, 193 of them on pairs a generator east reads: one over
+    ("2,2,3,1,1,1,1,1,1,2,2,2,3,1,1,3,3,2,2,3", 4,
+     "disk sweep for x17 exceeded 192 states per slice"),
+    ("1,4,1,2,2,2,4,2,2,2,4,5,2,4,2,2,4,4", 6, "disk sweep for x15 exceeded 288 states per slice"),
+    ("4,2,2,4,4,4,5,4,4,4,1,5,4,1,1,5,3,1,1,2", 6,
+     "disk sweep for x19 exceeded 312 states per slice"),
 ])
 def test_sweep_refusal_message_is_pinned(word, strands, message):
     front = build_front(parse_plat(word, strands))
     for ring in (F2, ZT):
-        with pytest.raises(RuntimeError) as info:
-            compute_dga(front, ring)
-        assert str(info.value) == message
-        assert SWEEP_CAP.fullmatch(str(info.value))
+        assert _refusal(front, ring) == message
 
 
 def test_sweep_at_exactly_the_cap_is_kept():
-    # the sweep for x17 peaks at 126 states, the cap of this front
-    front = build_front(parse_plat("3,5,1,5,2,4,1,2,4,1,4,5,2,2,1", 6))
-    assert len(front.events) * front.n_slots == 126
-    assert compute_dga(front, F2).d("x17") == parse("1", F2)
+    # 128 words after x12 of the first front, with nothing to prune; 233
+    # after x14 of the second, exactly 144 of them on pairs a generator to
+    # the east reads
+    for word, cap in (("2,1,1,1,1,1,3,3,2,2,2,2", 128), ("3,3,3,2,2,2,2,2,2,2,2,2,2,2", 144)):
+        front = build_front(parse_plat(word, 4))
+        assert 2 * len(front.events) * front.n_slots == cap
+        _assert_matches_column_sweep(front, accepted=True)
 
 
-def _column_sweep(front, j, ring, parity, cap):
+def test_worst_case_plat_is_pinned():
+    # without pruning, the partial disks of this front number in the millions
+    word = "3,3,3,1,1,1,3,3,3,3,3,3,3,3,3,1,1,1,1,3,3,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"
+    front = build_front(parse_plat(word, 4))
+    assert front.base_cusp == "x38"
+    for ring in (F2, ZT):
+        g = compute_dga(front, ring)
+        assert check_d_squared(g) is None
+        one = NcPoly.one(ring)
+        base = NcPoly.t_power(-1) if ring == ZT else one
+        want = {"x1": one, "x4": one, "x37": one, "x38": base}
+        for name in front.generator_names:
+            assert g.d(name) == want.get(name, NcPoly.zero(ring)), (ring, name)
+
+
+def _column_sweep(front, j, ring, parity):
     """Independent oracle: carry every partial disk across every event west of j."""
     ev = front.events[j]
     acc: dict[Word, Coef] = {}
@@ -385,20 +409,17 @@ def _column_sweep(front, j, ring, parity, cap):
             else:
                 new_states.append(st)
         states = new_states
-        if len(states) > cap:
-            raise RuntimeError(f"disk sweep for {ev.name} exceeded {cap} states per slice")
     assert not states
     return NcPoly(ring, acc)
 
 
 def _column_sweep_differential(front, ring):
     parity = {g: v % 2 for g, v in maslov_grading(front).grading.items()}
-    cap = len(front.events) * front.n_slots
     diff = {}
     for j, e in enumerate(front.events):
         if e.kind == "L":
             continue
-        poly = _column_sweep(front, j, ring, parity, cap)
+        poly = _column_sweep(front, j, ring, parity)
         if e.kind == "R":
             base = ring == ZT and e.name == front.base_cusp
             poly = poly + (NcPoly.t_power(-1) if base else NcPoly.one(ring))
@@ -406,16 +427,16 @@ def _column_sweep_differential(front, ring):
     return diff
 
 
-def _assert_matches_column_sweep(front):
+def _assert_matches_column_sweep(front, accepted=False):
+    """compute_dga equals the uncapped oracle on both rings wherever it
+    accepts, and refuses on both rings alike; `accepted` demands acceptance."""
+    refusals = {_refusal(front, ring) for ring in (F2, ZT)}
+    assert len(refusals) == 1
+    if refusals != {None}:
+        assert not accepted
+        return
     for ring in (F2, ZT):
-        try:
-            want = _column_sweep_differential(front, ring)
-        except RuntimeError as exc:
-            with pytest.raises(RuntimeError) as info:
-                compute_dga(front, ring)
-            assert str(info.value) == str(exc)
-            continue
-        assert compute_dga(front, ring).differential == want
+        assert compute_dga(front, ring).differential == _column_sweep_differential(front, ring)
 
 
 @settings(max_examples=100, deadline=None)
@@ -426,7 +447,7 @@ def test_random_plat_matches_column_sweep(sw):
 
 def test_longer_plats_match_column_sweep():
     # longer words than knot_plats draws, where most events pass a partial
-    # disk by and some words hit the cap
+    # disk by
     rng = random.Random(11)
     checked = 0
     while checked < 60:
@@ -438,3 +459,51 @@ def test_longer_plats_match_column_sweep():
             continue
         _assert_matches_column_sweep(front)
         checked += 1
+
+
+@pytest.mark.parametrize("word,strands", [
+    # refused under a cap of events times slots on partial disks per generator
+    ("3,1,1,3,3,3,1,3,2,3,1", 4),
+    ("3,3,3,1,1,1,3,1,1,2", 4),
+    ("2,2,3,3,3,1,1,3,1,1,2,3,3", 4),
+    ("4,1,2,4,1,5,2,4,4,4,4,4,5", 6),
+    ("3,3,1,2,2,2,4,1,4,4,2,2", 6),
+    ("6,7,3,7,7,2,3,6,3,4,6,6,6,6", 8),
+    ("7,4,2,3,4,1,4,6,1,6,6,6,6,4,1,1,7", 8),
+    ("1,1,1,1,1,3,1,1,2", 4),
+    # exactly at that cap
+    ("3,5,1,5,2,4,1,2,4,1,4,5,2,2,1", 6),
+])
+def test_former_refusals_match_column_sweep(word, strands):
+    _assert_matches_column_sweep(build_front(parse_plat(word, strands)), accepted=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(knot_plats)
+def test_random_plat_refusal_is_ring_independent(sw):
+    front = front_of(sw)
+    assert _refusal(front, F2) == _refusal(front, ZT)
+
+
+def test_bench_style_plat_refusal_is_ring_independent():
+    # 6 to 24 letters on 4, 6 or 8 strands, as the bench draws them, and as
+    # runs of 1 to 5 equal letters, which overflow more often
+    rng = random.Random(24)
+    checked = refused = 0
+    while checked < 300:
+        strands = rng.choice((4, 6, 8))
+        length = rng.randint(6, 24)
+        letters: list[int] = []
+        while len(letters) < length:
+            run = rng.randint(1, 5) if checked % 2 else 1
+            letters += [rng.randint(1, strands - 1)] * run
+        word = ",".join(map(str, letters[:length]))
+        try:
+            front = build_front(parse_plat(word, strands))
+        except ValueError:
+            continue
+        message = _refusal(front, F2)
+        assert _refusal(front, ZT) == message, word
+        refused += message is not None
+        checked += 1
+    assert refused  # some of them do overflow
