@@ -469,8 +469,8 @@ def verify_unit(g: DGA, e: NcPoly) -> bool:
 
     Such an e makes the characteristic algebra trivial (0 = 1), hence the
     contact homology vanishes.  As a consistency check, a successful witness
-    must be homogeneous of grading 1 when gradings are present (the
-    differential has degree -1); one that is not raises CertificateError.
+    must be homogeneous of grading 1 (the differential has degree -1); one
+    that is not raises CertificateError.
     An e naming generators the DGA lacks raises ValueError.
     """
     unknown = sorted(e.generators() - set(g.presentation.generators))
@@ -480,10 +480,9 @@ def verify_unit(g: DGA, e: NcPoly) -> bool:
     if not value.is_one():
         return False
     pres = g.presentation
-    if pres.grading is not None:
-        want = 1 % pres.modulus if pres.modulus else 1
-        if any(pres.word_degree(word) != want for word in e.terms):
-            raise CertificateError("unit witness is not homogeneous of grading 1")
+    want = 1 % pres.modulus if pres.modulus else 1
+    if any(pres.word_degree(word) != want for word in e.terms):
+        raise CertificateError("unit witness is not homogeneous of grading 1")
     return True
 
 

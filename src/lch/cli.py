@@ -5,7 +5,7 @@ operation, and prints a deterministic report.  Exit codes are scriptable:
 0 means verified or completed, 1 means an assertion failed, 2 means the
 input or usage was bad.  Input faults surface as ValueError (CertificateError
 and GradingError are subclasses), and main turns every one into a one-line
-message and exit 2.
+message and exit 2, as it does a MemoryError or RecursionError.
 """
 
 from __future__ import annotations
@@ -323,6 +323,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except ValueError as exc:  # bad file or argument contents
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (MemoryError, RecursionError) as exc:  # an input beyond a resource limit
+        print(f"error: input too large: {type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

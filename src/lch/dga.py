@@ -51,7 +51,7 @@ from .freealg import (
     signed_derivation,
     specialize,
 )
-from .plat import Event, FrontDiagram, maslov_grading
+from .plat import FrontDiagram, maslov_grading
 
 
 @dataclass
@@ -228,9 +228,7 @@ def check_homogeneous(dga: DGA) -> Optional[tuple[str, Word]]:
 def specialize_dga(dga: DGA) -> DGA:
     """Reduce a ZT DGA to F2: t = 1 and coefficients mod 2."""
     pres = dga.presentation
-    new_pres = GradedPresentation(pres.generators,
-                                  dict(pres.grading) if pres.grading else None,
-                                  F2, pres.modulus)
+    new_pres = GradedPresentation(pres.generators, dict(pres.grading), F2, pres.modulus)
     diff = {g: specialize(p) for g, p in dga.differential.items()}
     return DGA(new_pres, diff)
 
@@ -264,8 +262,7 @@ def deserialize(text: str) -> DGA:
     ring = None
     modulus = 0
     seen_mod = False
-    gens: list[str] = []
-    grading: dict[str, int] = {}
+    grading: dict[str, int] = {}  # the generators in file order, with degrees
     diff: dict[str, NcPoly] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -300,7 +297,6 @@ def deserialize(text: str) -> DGA:
                 name, g = parts[1], int(parts[2])
                 if name in grading:
                     raise ValueError(f"duplicate generator {name}")
-                gens.append(name)
                 grading[name] = g
             else:
                 name, rest = parts[1], parts[2]
@@ -311,18 +307,19 @@ def deserialize(text: str) -> DGA:
                 if name in diff:
                     raise ValueError(f"duplicate differential for {name}")
                 poly = parse(rest[1:].strip(), ring)
-                for u in poly.generators():
-                    if u not in grading:
-                        raise ValueError(f"unknown generator {u} in d {name}")
+                # the first unknown name in word order, whatever the hash seed
+                unknown = next((u for w in poly.terms for u in w if u not in grading), None)
+                if unknown is not None:
+                    raise ValueError(f"unknown generator {unknown} in d {name}")
                 diff[name] = poly
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
     if ring is None:
         raise ValueError("missing ring line")
-    for g in gens:
+    for g in grading:
         if g not in diff:
             diff[g] = NcPoly.zero(ring)
-    pres = GradedPresentation(tuple(gens), grading, ring, modulus)
+    pres = GradedPresentation(tuple(grading), grading, ring, modulus)
     return DGA(pres, diff)
 
 
@@ -372,7 +369,7 @@ def dga_diag_equivalent(g1: DGA, g2: DGA):
         raise ValueError("diagonal equivalence is defined over ZT")
     if p1.generators != p2.generators:
         return None
-    if (p1.grading or {}) != (p2.grading or {}) or p1.modulus != p2.modulus:
+    if p1.grading != p2.grading or p1.modulus != p2.modulus:
         return None
     gens = list(p1.generators)
     bit_of = {g: 1 << i for i, g in enumerate(gens)}
@@ -436,34 +433,28 @@ def torus_front(p: int, q: int) -> tuple[FrontDiagram, TorusLabeling]:
     n_slots = 2 * q
     strand_at: dict[int, tuple[str, int]] = {}
     slot_of: dict[tuple[str, int], int] = {}  # inverse of strand_at
-    events: list[Event] = []
-    xlab: dict[tuple[int, int], str] = {}
-    ylab: dict[tuple[int, int], str] = {}
-    zlab: dict[int, str] = {}
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        counter += 1
-        return f"x{counter}"
+    events: list[tuple[str, tuple[int, int]]] = []
+    # each label's event index; the front names the events
+    xlab: dict[tuple[int, int], int] = {}
+    ylab: dict[tuple[int, int], int] = {}
+    zlab: dict[int, int] = {}
 
     def place(s: int, strand: tuple[str, int]) -> None:
         strand_at[s] = strand
         slot_of[strand] = s
 
-    def cross(a: int, b: int) -> str:
-        name = fresh()
-        events.append(Event("X", (a, b), name=name))
+    def cross(a: int, b: int) -> int:
+        events.append(("X", (a, b)))
         sa, sb = strand_at[a], strand_at[b]
         place(a, sb)
         place(b, sa)
-        return name
+        return len(events) - 1
 
     # outer left cusps: upper branch is v_k, lower branch is m_{q-p+k}
     outer = sorted(set(range(1, p + 1)) | set(range(2 * q - p + 1, 2 * q + 1)))
     for k in range(1, p + 1):
         a, b = outer[2 * k - 2], outer[2 * k - 1]
-        events.append(Event("L", (a, b)))
+        events.append(("L", (a, b)))
         place(a, ("v", k))
         place(b, ("m", q - p + k))
     # fan: v_j climbs past the lower branches above it
@@ -473,7 +464,7 @@ def torus_front(p: int, q: int) -> tuple[FrontDiagram, TorusLabeling]:
     # inner left cusps
     for i in range(1, q - p + 1):
         a, b = p + 2 * i - 1, p + 2 * i
-        events.append(Event("L", (a, b)))
+        events.append(("L", (a, b)))
         place(a, ("m", i))
         place(b, ("v", p + i))
     # staircase: m_i climbs to sit just below v_i
@@ -488,17 +479,17 @@ def torus_front(p: int, q: int) -> tuple[FrontDiagram, TorusLabeling]:
                 raise RuntimeError(f"torus staircase met {above} above m_{i}")
             ylab[(i, j)] = cross(s - 1, s)
     # right cusps top to bottom
-    ncross = counter
+    ncross = len(events) - q  # the other events so far are the q left cusps
     for i in range(1, q + 1):
         if strand_at[2 * i - 1] != ("v", i) or strand_at[2 * i] != ("m", i):
             raise RuntimeError(f"torus right cusp {i} does not join v_{i} and m_{i}")
-        name = fresh()
-        events.append(Event("R", (2 * i - 1, 2 * i), name=name))
-        zlab[i] = name
+        zlab[i] = len(events)
+        events.append(("R", (2 * i - 1, 2 * i)))
     if ncross != q * (p - 1):
         raise RuntimeError(f"torus front has {ncross} crossings, expected {q * (p - 1)}")
     front = FrontDiagram(n_slots, events)
-    return front, TorusLabeling(xlab, ylab, zlab)
+    return front, TorusLabeling(*({k: front.events[j].name for k, j in lab.items()}
+                                  for lab in (xlab, ylab, zlab)))
 
 
 def torus_dga(p: int, q: int) -> tuple[FrontDiagram, DGA, TorusLabeling]:

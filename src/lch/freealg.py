@@ -40,7 +40,7 @@ Triple = tuple[Word, int, int]  # (word, exponent of t, coefficient)
 
 
 class GradingError(ValueError):
-    """A sign or degree was requested for a generator with no grading."""
+    """Signs were requested over ZT from a grading of odd modulus."""
 
 
 def _check_ring(ring: str) -> None:
@@ -200,18 +200,6 @@ class NcPoly:
             and self.terms == other.terms
         )
 
-    def key(self):
-        return (
-            self.ring,
-            tuple(
-                (w, tuple(sorted(self.terms[w].items())))
-                for w in sorted(self.terms, key=word_key)
-            ),
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
     # ---- rendering / parsing ----
 
     def render(self) -> str:
@@ -293,13 +281,15 @@ def specialize(p: NcPoly) -> NcPoly:
 
 @dataclass
 class GradedPresentation:
-    """Ordered generators of a free algebra, with an optional grading.
+    """Ordered generators of a free algebra, each with its degree.
 
+    The grading covers exactly the generators: every DGA here is graded by
+    the Maslov potential of its front, or by its file's `gen` lines.
     modulus 0 means an honest Z-grading; modulus m > 0 means Z/m.
     """
 
     generators: tuple[str, ...]
-    grading: dict[str, int] | None = None
+    grading: dict[str, int]
     ring: str = F2
     modulus: int = 0
 
@@ -311,14 +301,14 @@ class GradedPresentation:
         for g in self.generators:
             if not _GEN_RE.fullmatch(g) or g == "t":
                 raise ValueError(f"bad generator name {g!r}")
-        if self.grading is not None:
-            unknown = set(self.grading) - set(self.generators)
-            if unknown:
-                raise ValueError(f"grading for unknown generators {sorted(unknown)}")
+        unknown = set(self.grading) - set(self.generators)
+        if unknown:
+            raise ValueError(f"grading for unknown generators {sorted(unknown)}")
+        missing = [g for g in self.generators if g not in self.grading]
+        if missing:
+            raise ValueError(f"no grading for generators {missing}")
 
     def degree_of(self, name: str) -> int:
-        if self.grading is None or name not in self.grading:
-            raise GradingError(f"no grading for {name!r}")
         return self.grading[name]
 
     def word_degree(self, word: Word) -> int:
@@ -340,7 +330,7 @@ def signed_derivation(
     ring = pres.ring
     if ring == ZT and pres.modulus % 2:
         raise GradingError("signs need a Z or even-modulus grading")
-    grading = pres.grading or {}
+    grading = pres.grading
     flat = {g: _triples(dg.terms) for g, dg in d.items() if dg.terms}
 
     def derive(p: NcPoly) -> NcPoly:
@@ -348,28 +338,18 @@ def signed_derivation(
             raise ValueError(f"ring mismatch: {p.ring} vs {ring}")
         triples: list[Triple] = []
         for w, coef in p.terms.items():
-            parity: int | None = 0
+            parity = 0  # degree of the prefix w[:i]; it stays 0 over F2
             for i, g in enumerate(w):
                 dg = flat.get(g)
                 if dg is not None:
-                    sign = 1
-                    if ring == ZT:
-                        if parity is None:
-                            raise GradingError(
-                                f"sign for position {i} in {w} needs graded prefix"
-                            )
-                        if parity % 2:
-                            sign = -1
+                    sign = -1 if parity % 2 else 1
                     head, tail = w[:i], w[i + 1 :]
                     for e1, c1 in coef.items():
                         c1 *= sign
                         for w2, e2, c2 in dg:
                             triples.append((head + w2 + tail, e1 + e2, c1 * c2))
-                if ring == ZT and parity is not None:
-                    if g in grading:
-                        parity += grading[g]
-                    else:
-                        parity = None
+                if ring == ZT:
+                    parity += grading[g]
         return _poly(ring, triples)
 
     return derive

@@ -7,8 +7,9 @@ plat on 2n strands opens with n left cusps pairing (1,2),(3,4),... , runs
 its braid letters (letter k crosses slots k,k+1), and closes with n right
 cusps pairing the same slots.
 
-Generators are named x1..xm for the crossings in word order, continuing
-with the right cusps top to bottom.
+`FrontDiagram` names every generator, and nothing else does: the k-th
+crossing or right cusp in event order is x<k>.  On a plat that is the
+crossings in word order, then the right cusps top to bottom.
 
 Orientation comes from walking the knot east from the upper branch of the
 first left cusp.  The walk, `FrontDiagram.traversal`, goes piece by piece: a
@@ -30,20 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str  # "L", "X", "R"
     slots: tuple[int, int]  # (upper, lower), upper < lower
-    name: str | None = None  # generator name for X and R
-
-    def __post_init__(self):
-        if self.kind not in ("L", "X", "R"):
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        c, d = self.slots
-        if not c < d:
-            raise ValueError(f"event slots must be (upper, lower), got {self.slots}")
+    name: str | None  # generator name of an X or R, None for an L
 
 
 @dataclass(frozen=True)
@@ -90,15 +84,31 @@ class GradingTable:
 
 
 class FrontDiagram:
-    """Validated event list plus the traversal data derived from it."""
+    """Validated, named events plus the traversal data derived from them.
 
-    def __init__(self, n_slots: int, events: list[Event],
+    `events` are (kind, (upper, lower)) pairs, west to east, with kind "L",
+    "X" or "R".  One pass checks each one's kind, its slot order and the live
+    slots it meets, and names the k-th crossing or right cusp x<k>: the
+    names every DGA, grading and labeling of the front reads.
+    """
+
+    def __init__(self, n_slots: int, events: Iterable[tuple[str, tuple[int, int]]],
                  base_cusp: str | None = None):
         self.n_slots = n_slots
-        self.events = tuple(events)
+        built: list[Event] = []
+        crossings: list[str] = []
+        cusps: list[str] = []
         live: set[int] = set()
-        for ev in self.events:
-            c, d = ev.slots
+        for kind, (c, d) in events:
+            if kind == "L":
+                name = None
+            elif kind == "X" or kind == "R":
+                name = f"x{len(crossings) + len(cusps) + 1}"
+            else:
+                raise ValueError(f"unknown event kind {kind!r}")
+            ev = Event(kind, (c, d), name)
+            if not c < d:
+                raise ValueError(f"event slots must be (upper, lower), got {ev.slots}")
             if c < 1:
                 raise ValueError(f"slot {c} below 1")
             if d > n_slots:
@@ -106,23 +116,24 @@ class FrontDiagram:
             between = [s for s in range(c + 1, d) if s in live]
             if between:
                 raise ValueError(f"{ev} straddles live slots {between}")
-            if ev.kind == "L":
+            if kind == "L":
                 if c in live or d in live:
                     raise ValueError(f"{ev} opens already-live slots")
                 live |= {c, d}
+            elif c not in live or d not in live:
+                raise ValueError(f"{ev} touches dead slots")
+            elif kind == "X":
+                crossings.append(name)
             else:
-                if c not in live or d not in live:
-                    raise ValueError(f"{ev} touches dead slots")
-                if ev.kind == "R":
-                    live -= {c, d}
+                cusps.append(name)
+                live -= {c, d}
+            built.append(ev)
         if live:
             raise ValueError(f"slots {sorted(live)} never close")
-        self.crossing_names = tuple(ev.name for ev in self.events if ev.kind == "X")
-        self.cusp_names = tuple(ev.name for ev in self.events if ev.kind == "R")
-        names = self.crossing_names + self.cusp_names
-        if None in names or len(set(names)) != len(names):
-            raise ValueError("crossings and right cusps need unique names")
-        self.generator_names: tuple[str, ...] = names
+        self.events = tuple(built)
+        self.crossing_names = tuple(crossings)
+        self.cusp_names = tuple(cusps)
+        self.generator_names: tuple[str, ...] = self.crossing_names + self.cusp_names
         if base_cusp is None and self.cusp_names:
             base_cusp = self.cusp_names[-1]
         if base_cusp is not None and base_cusp not in self.cusp_names:
@@ -205,13 +216,9 @@ class FrontDiagram:
 
 def build_front(word: PlatWord, base_cusp: str | None = None) -> FrontDiagram:
     """Plat-closed front: n left cusps, the braid letters, n right cusps."""
-    n = word.strand_count // 2
-    events = [Event("L", (2 * i - 1, 2 * i)) for i in range(1, n + 1)]
-    for pos, k in enumerate(word.letters, start=1):
-        events.append(Event("X", (k, k + 1), name=f"x{pos}"))
-    m = len(word.letters)
-    for i in range(1, n + 1):
-        events.append(Event("R", (2 * i - 1, 2 * i), name=f"x{m + i}"))
+    cusps = [(2 * i - 1, 2 * i) for i in range(1, word.strand_count // 2 + 1)]
+    events = ([("L", slots) for slots in cusps] + [("X", (k, k + 1)) for k in word.letters]
+              + [("R", slots) for slots in cusps])
     front = FrontDiagram(word.strand_count, events, base_cusp)
     front.traversal  # raises unless the closure is a knot
     return front

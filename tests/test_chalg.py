@@ -37,7 +37,7 @@ def k2():
 
 
 def rel_set(gens: list[str], items: list[tuple[str, str]]) -> RelationSet:
-    pres = GradedPresentation(tuple(gens), None, F2)
+    pres = GradedPresentation(tuple(gens), dict.fromkeys(gens, 0), F2)
     return RelationSet(pres, tuple((n, parse(t, F2)) for n, t in items))
 
 
@@ -61,7 +61,7 @@ def test_char_algebra_k1_specialized_has_23_relations(k1):
 
 
 def test_char_algebra_keeps_zero_differentials():
-    pres = GradedPresentation(("x1",), None, F2)
+    pres = GradedPresentation(("x1",), {"x1": 0}, F2)
     from lch.dga import DGA
 
     g = DGA(pres, {"x1": NcPoly.zero(F2)})
@@ -70,13 +70,13 @@ def test_char_algebra_keeps_zero_differentials():
 
 
 def test_relation_set_rejects_unknown_generators():
-    pres = GradedPresentation(("x1",), None, F2)
+    pres = GradedPresentation(("x1",), {"x1": 0}, F2)
     with pytest.raises(ValueError, match="unknown"):
         RelationSet(pres, (("r", parse("x2", F2)),))
 
 
 def test_relation_set_rejects_duplicate_names():
-    pres = GradedPresentation(("x1",), None, F2)
+    pres = GradedPresentation(("x1",), {"x1": 0}, F2)
     with pytest.raises(ValueError, match="duplicate"):
         RelationSet(pres, (("r", parse("x1", F2)), ("r", parse("1 + x1", F2))))
 

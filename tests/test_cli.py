@@ -8,6 +8,7 @@ import functools
 import hashlib
 import importlib
 import io
+import json
 import os
 import pathlib
 import pkgutil
@@ -21,8 +22,9 @@ from hypothesis import given, settings, strategies as st
 import lch
 from lch import refdata, reps
 from lch.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from lch.dga import compute_dga, deserialize, serialize
+from lch.dga import compute_dga, deserialize, serialize, torus_dga
 from lch.freealg import F2
+from lch.plat import build_front, parse_plat
 from lch.reps import MatRepAssignment, _search
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -573,6 +575,92 @@ def test_calls_in_one_process_match_calls_alone(tmp_path, monkeypatch):
     assert helped[2] == 0
     for cmd in ("dga", "invariants", "grading", "verify", "search", "torus-dga"):
         assert cmd in helped[0]
+
+
+# the README's commands; {name} stands for the table name.dga written by the
+# test, and the matrix search runs on the trefoil, since criterion 13 pins
+# m(9_42)'s
+README_COMMANDS = [
+    ["dga", "2,2,2", "--strands", "4"],
+    ["dga", "2,2,2", "--strands", "4", "--ring", "zt"],
+    ["invariants", "2,2,2", "--strands", "4"],
+    ["grading", "2,2,2", "--strands", "4"],
+    ["torus-dga", "--p", "3", "--q", "5"],
+    ["verify", "d2", "--dga", K2_DGA],
+    ["verify", "unit", "--dga", K1_DGA, "--element-file", K1_EXPR],
+    ["verify", "cert", "--dga", K2_DGA, "--cert", K2_QUOT],
+    ["verify", "norep", "--dga", K2_DGA, "--cert", K2_NOREP],
+    ["verify", "rep", "--dga", "{m942}", "--rep", M942_REP],
+    ["verify", "torus", "--p", "3", "--q", "5"],
+    ["verify", "R", "--n", "256"],
+    ["search", "aug", "--dga", "{t34}"],
+    ["search", "aug", "--graded", "--dga", "{t34}"],
+    ["search", "matrep", "--dga", "{trefoil}", "--n", "2"],
+]
+
+
+# runs each argv of its JSON argument through main, prints the outcomes
+_OUTCOMES = """
+import contextlib, io, json, sys
+from lch.cli import main
+got = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    got.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(got))
+"""
+
+
+def test_outcomes_do_not_depend_on_the_hash_seed(tmp_path):
+    # a file naming several unknown generators, and the README's commands;
+    # the seed is fixed when a process starts, so each seed gets a process
+    # of its own
+    bad = tmp_path / "bad.dga"
+    bad.write_text("ring F2\ngen x1 1\nd x1 = yy.zz + ww\n")
+    tables = {"m942": _m942_table(),
+              "t34": serialize(torus_dga(3, 4)[1]),
+              "trefoil": serialize(compute_dga(build_front(parse_plat("2,2,2", 4)), F2))}
+    paths = {name: tmp_path / f"{name}.dga" for name in tables}
+    for name, text in tables.items():
+        paths[name].write_text(text)
+    sequence = [["verify", "d2", "--dga", str(bad)]] + [
+        [a.format(**paths) for a in argv] for argv in README_COMMANDS]
+    runs = []
+    for seed in range(6):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", _OUTCOMES, json.dumps(sequence)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert all(got == runs[0] for got in runs)
+    # the first unknown generator in word order is the one reported
+    assert runs[0][0] == ["", f"error: {bad}: line 3: unknown generator yy in d x1\n", EXIT_USAGE]
+    assert [code for _, _, code in runs[0][1:]] == [EXIT_OK] * len(README_COMMANDS)
+
+
+def test_memory_limit_ends_in_one_error_line():
+    # the address-space cap is set in the child only; verify R at this n
+    # would hold about 1 GB of operator rows
+    cap = 400 * 2 ** 20
+    child = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+             "from lch.cli import main\n"
+             "sys.exit(main(['verify', 'R', '--n', '65536']))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_USAGE, "", "error: input too large: MemoryError\n")
+
+
+def test_recursion_limit_ends_in_one_error_line(monkeypatch, capsys):
+    def too_deep(n):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(reps, "verify_R_relations", too_deep)
+    code, out, err = run(capsys, "verify", "R")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: input too large: RecursionError\n")
 
 
 def test_thread_variable_is_not_read(monkeypatch, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import re
 
@@ -318,6 +319,22 @@ TORUS_DIGESTS = {
 def test_torus_ladder_serialization_is_pinned(p, q, ring):
     text = serialize(compute_dga(torus_front(p, q)[0], ring))
     assert hashlib.sha256(text.encode()).hexdigest() == TORUS_DIGESTS[(p, q, ring)]
+
+
+def test_torus_labelings_and_tables_are_pinned():
+    # one sha256 over every coprime 3 <= p < q <= 15: the labeling, which
+    # reads its names back from the front, then serialize on both rings;
+    # recorded when build_front and torus_front still named the generators
+    digest = hashlib.sha256()
+    for p in range(3, 16):
+        for q in range(p + 1, 16):
+            if math.gcd(p, q) == 1:
+                front, lab = torus_front(p, q)
+                digest.update(repr((p, q, sorted(lab.x.items()), sorted(lab.y.items()),
+                                    sorted(lab.z.items()))).encode())
+                for ring in (F2, ZT):
+                    digest.update(serialize(compute_dga(front, ring)).encode())
+    assert digest.hexdigest() == "fde560f46d8ac26212eadc740e3ea8965187e2fb18fa38a293ccf3f3b8f1e8d3"
 
 
 SWEEP_CAP = re.compile(r"disk sweep for \S+ exceeded \d+ states per slice")

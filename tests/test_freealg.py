@@ -237,15 +237,13 @@ def test_specialize_examples():
 
 def test_presentation_validation():
     with pytest.raises(ValueError):
-        GradedPresentation(("x1", "x1"))
+        GradedPresentation(("x1", "x1"), grading={"x1": 0})
     with pytest.raises(ValueError):
-        GradedPresentation(("t",))
+        GradedPresentation(("t",), grading={"t": 0})
     with pytest.raises(ValueError):
-        GradedPresentation(("x1",), grading={"x9": 0})
-    pres = GradedPresentation(("x1", "x2"), grading={"x1": 3}, ring=ZT)
-    assert pres.degree_of("x1") == 3
-    with pytest.raises(GradingError):
-        pres.degree_of("x2")
+        GradedPresentation(("x1",), grading={"x1": 0, "x9": 0})
+    pres = GradedPresentation(("x1", "x2"), grading={"x1": 3, "x2": 0}, ring=ZT)
+    assert (pres.degree_of("x1"), pres.degree_of("x2")) == (3, 0)
 
 
 def test_word_degree_modulus():
@@ -261,13 +259,11 @@ def test_signed_derivation_basic_sign():
     assert derive(NcPoly.one(ZT)).is_zero()
 
 
-def test_signed_derivation_needs_grading_only_when_signed():
-    pres = GradedPresentation(("x1", "x2", "x4"), grading={"x4": 1}, ring=ZT)
-    derive = signed_derivation(pres, {"x1": NcPoly.one(ZT)})
-    # x2 is ungraded but sits after every letter with nonzero image
-    assert derive(x(1, ZT) * x(2, ZT)) == x(2, ZT)
-    with pytest.raises(GradingError):
-        derive(x(2, ZT) * x(1, ZT))
+def test_presentation_rejects_partial_grading():
+    # every generator has a degree, so no sign or degree can meet an
+    # ungraded one; the missing ones are named in generator order
+    with pytest.raises(ValueError, match=r"^no grading for generators \['x2', 'x1'\]$"):
+        GradedPresentation(("x2", "x1", "x4"), grading={"x4": 1}, ring=ZT)
 
 
 def test_signed_derivation_rejects_odd_modulus():

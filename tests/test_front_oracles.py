@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from jones import divide, jones_polynomial, writhe
 from lch import refdata
 from lch.dga import torus_front
-from lch.plat import Event, build_front, classical_invariants, maslov_grading, parse_plat
+from lch.plat import Event, FrontDiagram, build_front, classical_invariants, maslov_grading, parse_plat
 from oracles import segment_walk
 from plat_strategies import front_of, knot_plats, small_plats
 
@@ -28,12 +28,13 @@ FIXED_FRONTS = {
 }
 
 
-def plat_events(strands: int, letters) -> list[Event]:
-    """A plat's events as the module docstring of `lch.plat` lays them out."""
-    n = strands // 2
-    return ([Event("L", (2 * i - 1, 2 * i)) for i in range(1, n + 1)]
-            + [Event("X", (k, k + 1), name=f"x{i}") for i, k in enumerate(letters, 1)]
-            + [Event("R", (2 * i - 1, 2 * i), name=f"c{i}") for i in range(1, n + 1)])
+def plat_events(strands: int, letters) -> tuple[Event, ...]:
+    """A plat's events as the module docstring of `lch.plat` lays them out;
+    `FrontDiagram` names them and checks the live slots, not the closure."""
+    cusps = [(2 * i - 1, 2 * i) for i in range(1, strands // 2 + 1)]
+    events = ([("L", c) for c in cusps] + [("X", (k, k + 1)) for k in letters]
+              + [("R", c) for c in cusps])
+    return FrontDiagram(strands, events).events
 
 
 def refusal(build) -> str | None:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from lch import refdata
 from lch.plat import (
-    Event,
     FrontDiagram,
     build_front,
     classical_invariants,
@@ -169,41 +168,49 @@ def test_k2_cusps_have_degree_one(k2):
 
 
 def test_grading_rejects_links():
-    front = FrontDiagram(4, [])
     # bypassing build_front leaves a two-component closure in place
-    from lch.plat import Event
-
-    events = [Event("L", (1, 2)), Event("L", (3, 4)),
-              Event("R", (1, 2), name="x1"), Event("R", (3, 4), name="x2")]
+    events = [("L", (1, 2)), ("L", (3, 4)), ("R", (1, 2)), ("R", (3, 4))]
     with pytest.raises(ValueError):
         maslov_grading(FrontDiagram(4, events))
 
 
-def _loop(c, d, cross="x1", cusp="x2"):
-    return [Event("L", (c, d)), Event("X", (c, d), name=cross), Event("R", (c, d), name=cusp)]
+def _loop(c, d):
+    return [("L", (c, d)), ("X", (c, d)), ("R", (c, d))]
 
 
 @pytest.mark.parametrize("n_slots,events,base,message", [
     # slot 0 would index the sweep's per-slot rows from the end
     (2, _loop(0, 1), None, "slot 0 below 1"),
     (2, _loop(1, 3), None, "slot 3 beyond n_slots=2"),
-    (4, [Event("L", (2, 3)), Event("L", (1, 4))], None,
+    (4, [("L", (2, 3)), ("L", (1, 4))], None,
      "Event(kind='L', slots=(1, 4), name=None) straddles live slots [2, 3]"),
-    (2, [Event("L", (1, 2)), Event("L", (1, 2))], None,
+    (2, [("L", (1, 2)), ("L", (1, 2))], None,
      "Event(kind='L', slots=(1, 2), name=None) opens already-live slots"),
-    (2, [Event("X", (1, 2), name="x1")], None,
+    (2, [("X", (1, 2))], None,
      "Event(kind='X', slots=(1, 2), name='x1') touches dead slots"),
-    (4, [Event("L", (1, 2)), Event("L", (3, 4)), Event("R", (3, 4), name="x1")], None,
+    (4, [("L", (1, 2)), ("L", (3, 4)), ("R", (3, 4))], None,
      "slots [1, 2] never close"),
-    (2, _loop(1, 2, cusp=None), None, "crossings and right cusps need unique names"),
-    (2, _loop(1, 2, cusp="x1"), None, "crossings and right cusps need unique names"),
     (2, _loop(1, 2), "x1", "base point cusp 'x1' is not a right cusp"),
+    # the kind is checked first, then the slot order, then the live slots
+    (2, [("L", (1, 2)), ("Y", (2, 1))], None, "unknown event kind 'Y'"),
+    (2, [("L", (1, 2)), ("X", (2, 1))], None,
+     "event slots must be (upper, lower), got (2, 1)"),
 ], ids=["below-1", "beyond-n", "straddle", "reopen", "dead", "unclosed",
-        "unnamed", "repeated-name", "base-cusp"])
+        "base-cusp", "unknown-kind", "slot-order"])
 def test_front_diagram_validation_messages(n_slots, events, base, message):
     with pytest.raises(ValueError) as err:
         FrontDiagram(n_slots, events, base_cusp=base)
     assert str(err.value) == message
+
+
+def test_front_diagram_names_generators_in_event_order():
+    # crossings and right cusps share one count, even where they interleave
+    front = FrontDiagram(4, [("L", (1, 2)), ("L", (3, 4)), ("X", (2, 3)), ("R", (1, 2)),
+                             ("X", (3, 4)), ("R", (3, 4))])
+    assert [ev.name for ev in front.events] == [None, None, "x1", "x2", "x3", "x4"]
+    assert (front.crossing_names, front.cusp_names) == (("x1", "x3"), ("x2", "x4"))
+    assert front.generator_names == ("x1", "x3", "x2", "x4")
+    assert front.base_cusp == "x4"
 
 
 # ---- random plats ----

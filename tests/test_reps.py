@@ -309,7 +309,7 @@ def test_search_budget_exhaustion_is_inconclusive(k2):
 
 
 def _one_relation(text):
-    pres = GradedPresentation(("x1", "x2"))
+    pres = GradedPresentation(("x1", "x2"), {"x1": 0, "x2": 0})
     return RelationSet(pres, (("r", parse(text, F2)),))
 
 
@@ -425,7 +425,8 @@ def _enumeration_oracle(rs, n):
     (4, ["x1.x1", "x2 + x3.x1.x2", "x2.x4 + x3.x4.x2 + 1"], 2),
 ])
 def test_search_matches_brute_force_oracle(gens, rels, n):
-    pres = GradedPresentation(tuple(f"x{i}" for i in range(1, gens + 1)))
+    names = [f"x{i}" for i in range(1, gens + 1)]
+    pres = GradedPresentation(tuple(names), dict.fromkeys(names, 0))
     rs = RelationSet(pres, tuple((f"r{k}", parse(t, F2)) for k, t in enumerate(rels)))
     hit, nodes = _enumeration_oracle(rs, n)
     rho, reason, count = _search(rs, n, 10 ** 6)
@@ -445,7 +446,7 @@ def test_search_charges_failed_subtrees_without_replaying(monkeypatch):
     # x2 is free, so below it only x1 is read: the solved x3 level fails for
     # x1 = 0 and 1 whatever x2 is, and is solved once per x1 before the hit
     # at x1 = 2, where replaying it would take 16 + 16 + 1 visits
-    pres = GradedPresentation(("x1", "x2", "x3"))
+    pres = GradedPresentation(("x1", "x2", "x3"), dict.fromkeys(("x1", "x2", "x3"), 0))
     rs = RelationSet(pres, (("r", parse("x1.x3 + x3.x1 + 1", F2)),))
     reps_module._product_table(2)  # built from subset-XOR tables too
     solves = []
