@@ -87,7 +87,7 @@ class FrontDiagram:
     """Validated, named events plus the traversal data derived from them.
 
     `events` are (kind, (upper, lower)) pairs, west to east, with kind "L",
-    "X" or "R".  One pass checks each one's kind, its slot order and the live
+    "X" or "R"; a named Event is refused, since the names are made here.  One pass checks each one's kind, its slot order and the live
     slots it meets, and names the k-th crossing or right cusp x<k>: the
     names every DGA, grading and labeling of the front reads.
     """
@@ -99,7 +99,11 @@ class FrontDiagram:
         crossings: list[str] = []
         cusps: list[str] = []
         live: set[int] = set()
-        for kind, (c, d) in events:
+        for event in events:
+            if len(event) != 2:
+                raise ValueError(f"events are (kind, slots) pairs, got {event!r}: "
+                                 "FrontDiagram names crossings and right cusps itself")
+            kind, (c, d) = event
             if kind == "L":
                 name = None
             elif kind == "X" or kind == "R":

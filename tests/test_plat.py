@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from lch import refdata
 from lch.plat import (
+    Event,
     FrontDiagram,
     build_front,
     classical_invariants,
@@ -190,13 +191,20 @@ def _loop(c, d):
      "Event(kind='X', slots=(1, 2), name='x1') touches dead slots"),
     (4, [("L", (1, 2)), ("L", (3, 4)), ("R", (3, 4))], None,
      "slots [1, 2] never close"),
+    # a caller's names, missing or repeated, are refused: the front names its own
+    (2, [("L", (1, 2)), Event("X", (1, 2), None)], None,
+     "events are (kind, slots) pairs, got Event(kind='X', slots=(1, 2), name=None): "
+     "FrontDiagram names crossings and right cusps itself"),
+    (2, [("L", (1, 2)), ("X", (1, 2)), Event("R", (1, 2), "x1")], None,
+     "events are (kind, slots) pairs, got Event(kind='R', slots=(1, 2), name='x1'): "
+     "FrontDiagram names crossings and right cusps itself"),
     (2, _loop(1, 2), "x1", "base point cusp 'x1' is not a right cusp"),
     # the kind is checked first, then the slot order, then the live slots
     (2, [("L", (1, 2)), ("Y", (2, 1))], None, "unknown event kind 'Y'"),
     (2, [("L", (1, 2)), ("X", (2, 1))], None,
      "event slots must be (upper, lower), got (2, 1)"),
 ], ids=["below-1", "beyond-n", "straddle", "reopen", "dead", "unclosed",
-        "base-cusp", "unknown-kind", "slot-order"])
+        "unnamed", "repeated-name", "base-cusp", "unknown-kind", "slot-order"])
 def test_front_diagram_validation_messages(n_slots, events, base, message):
     with pytest.raises(ValueError) as err:
         FrontDiagram(n_slots, events, base_cusp=base)
