@@ -18,15 +18,16 @@ values.  Dependency sets are tracked per relation so that adjoin_and_derive
 can enforce its precondition (see the Lemma encoded there).
 
 Replay is deterministic: substitution rule sets must be acyclic (checked).
-Each rule's image is resolved until no ruled generator is left in it, and
-the source relation is substituted once.  That is the fixpoint of repeated
-simultaneous substitution, which the acyclicity makes finite and
-strategy-independent.
+The rules resolve in dependency order, each image after the ruled generators
+it names, so no ruled generator is left in any image, and the source
+relation is substituted once.  That is the fixpoint of repeated simultaneous
+substitution, which the acyclicity makes finite and strategy-independent.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .dga import DGA
@@ -144,35 +145,14 @@ class Certificate:
 _NAME = r"[A-Za-z_]\w*"
 _DIFF_RE = re.compile(rf"^diff\s+({_NAME})\s*=\s*D\(\s*(.*?)\s*\)$")
 _COMB_RE = re.compile(rf"^comb\s+({_NAME})\s*=\s*(.*)$")
-_COMB_TERM_RE = re.compile(rf"^\(\s*(.*?)\s*\)\s*\*\s*({_NAME})\s*\*\s*\(\s*(.*?)\s*\)$")
+# a cofactor holds no parenthesis (parse_poly reads none), so each match is
+# one way through the text and a malformed line is refused in linear time
+_COMB_TERM = rf"\(([^()]*)\)\s*\*\s*({_NAME})\s*\*\s*\(([^()]*)\)"
+_COMB_BODY_RE = re.compile(rf"{_COMB_TERM}(?:\s*\+\s*{_COMB_TERM})*")
 _SUBST_RE = re.compile(rf"^subst\s+({_NAME})\s*=\s*({_NAME})\s+with\s+(.*)$")
 _RULE_RE = re.compile(rf"^({_NAME})\s*->\s*(.*)$")
 _AUNIT_RE = re.compile(rf"^assert-unit\s+({_NAME})$")
 _AEQ_RE = re.compile(rf"^assert\s+({_NAME})\s*=\s*(.*)$")
-
-
-def _split_outside_parens(text: str, sep: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise CertificateError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and text.startswith(sep, i):
-            parts.append("".join(cur))
-            cur = []
-            i += len(sep)
-            continue
-        cur.append(ch)
-        i += 1
-    if depth != 0:
-        raise CertificateError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(cur))
-    return parts
 
 
 def parse_certificate(text: str, ring: str = F2) -> Certificate:
@@ -184,6 +164,7 @@ def parse_certificate(text: str, ring: str = F2) -> Certificate:
       subst <name> = <rel> with <gen> -> <poly> [; <gen> -> <poly> ...]
       assert-unit <name>
       assert <name> = <poly>
+    A comb cofactor, like every <poly>, holds no parentheses.
     """
     steps: list[Step] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -192,10 +173,8 @@ def parse_certificate(text: str, ring: str = F2) -> Certificate:
             continue
         try:
             steps.append(_parse_step(line, ring))
-        except CertificateError as exc:
-            raise CertificateError(f"line {lineno}: {exc}") from None
         except ValueError as exc:
-            raise CertificateError(f"line {lineno}: {exc}") from exc
+            raise CertificateError(f"line {lineno}: {exc}") from None
     return Certificate(tuple(steps))
 
 
@@ -214,15 +193,13 @@ def _parse_step(line: str, ring: str) -> Step:
         return SubstStep(m.group(1), m.group(2), tuple(rules))
     m = _COMB_RE.match(line)
     if m:
-        terms = []
-        for chunk in _split_outside_parens(m.group(2), "+"):
-            tm = _COMB_TERM_RE.match(chunk.strip())
-            if not tm:
-                raise CertificateError(f"bad combination term {chunk.strip()!r}")
-            terms.append(
-                (parse_poly(tm.group(1), ring), tm.group(2), parse_poly(tm.group(3), ring))
-            )
-        return CombStep(m.group(1), tuple(terms))
+        body = m.group(2)
+        if not _COMB_BODY_RE.fullmatch(body):
+            raise CertificateError(
+                f"bad combination {body!r}: expected ( <poly> ) * <rel> * ( <poly> ) [ + ... ]")
+        return CombStep(m.group(1), tuple(
+            (parse_poly(u.strip(), ring), r, parse_poly(v.strip(), ring))
+            for u, r, v in re.findall(_COMB_TERM, body)))
     m = _AUNIT_RE.match(line)
     if m:
         return AssertUnitStep(m.group(1))
@@ -288,10 +265,8 @@ def parse_cert_directives(text: str, ring: str = F2) -> CertDirectives:
                 if m.group(1) in witnesses:
                     raise CertificateError(f"duplicate witness {m.group(1)}")
                 witnesses[m.group(1)] = parse_poly(m.group(2), ring)
-        except CertificateError as exc:
-            raise CertificateError(f"line {lineno}: {exc}") from None
         except ValueError as exc:
-            raise CertificateError(f"line {lineno}: {exc}") from exc
+            raise CertificateError(f"line {lineno}: {exc}") from None
     return CertDirectives(tuple(assumptions), witnesses)
 
 
@@ -321,28 +296,18 @@ class CertReport:
 
 
 def _resolve_rules(rules: Sequence[tuple[str, NcPoly]]) -> Optional[dict[str, NcPoly]]:
-    """Each ruled generator's image with no ruled generator left in it, found
-    depth first on an explicit stack; None when the rules are cyclic."""
+    """Each ruled generator's image with no ruled generator left in it,
+    resolved after the ruled generators it names; None when the rules are
+    cyclic, as a rule whose image names its own generator is."""
     rule_map = dict(rules)
+    order = TopologicalSorter({g: p.generators() & rule_map.keys() for g, p in rule_map.items()})
+    try:
+        ruled = list(order.static_order())
+    except CycleError:
+        return None
     done: dict[str, NcPoly] = {}
-    on_path: set[str] = set()
-    for root in rule_map:
-        if root in done:
-            continue
-        on_path.add(root)
-        path = [(root, iter(rule_map[root].generators()))]
-        while path:
-            g, targets = path[-1]
-            h = next((h for h in targets if h in rule_map and h not in done), None)
-            if h is None:
-                done[g] = _substitute_resolved(rule_map[g], done)
-                on_path.discard(g)
-                path.pop()
-            elif h in on_path:
-                return None
-            else:
-                on_path.add(h)
-                path.append((h, iter(rule_map[h].generators())))
+    for g in ruled:
+        done[g] = _substitute_resolved(rule_map[g], done)
     return done
 
 
@@ -517,24 +482,15 @@ def adjoin_and_derive(rs: RelationSet, a: NcPoly, b: NcPoly, cert: Certificate) 
     if not cert.steps or not isinstance(cert.steps[-1], AssertUnitStep):
         return NoRepVerdict(False, "certificate does not end with assert-unit", report)
 
-    names = list(report.table)
-    first_use = None
-    for idx, name in enumerate(names):
-        if name != "adjoined" and "adjoined" in report.deps[name]:
-            first_use = idx
-            break
-    established = None
-    for idx, name in enumerate(names):
-        if name == "adjoined" or "adjoined" in report.deps[name]:
+    used = False  # whether a relation before this one in the table used 'adjoined'
+    for name, v in report.table.items():
+        if name == "adjoined":
             continue
-        v = report.table[name]
-        if v == target or v == -target or v.is_one():
-            established = idx
-            break
-    if established is None:
-        return NoRepVerdict(False, "a*b - 1 was never established without 'adjoined'", report)
-    if first_use is not None and established > first_use:
-        return NoRepVerdict(
-            False, "'adjoined' was used before a*b - 1 was established", report
-        )
-    return NoRepVerdict(True, "derived 0 = 1 after adjoining b*a = 1", report)
+        if "adjoined" in report.deps[name]:
+            used = True
+        elif v == target or v == -target or v.is_one():
+            if used:
+                return NoRepVerdict(
+                    False, "'adjoined' was used before a*b - 1 was established", report)
+            return NoRepVerdict(True, "derived 0 = 1 after adjoining b*a = 1", report)
+    return NoRepVerdict(False, "a*b - 1 was never established without 'adjoined'", report)

@@ -775,26 +775,33 @@ def serialize_rep(rho: MatRepAssignment) -> str:
 
 
 def deserialize_rep(text: str) -> MatRepAssignment:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("rep n="):
-        raise ValueError("missing 'rep n=<dim>' header")
-    try:
-        n = int(lines[0][len("rep n="):])
-    except ValueError:
-        raise ValueError(f"bad dimension in header {lines[0]!r}") from None
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    n = 0  # until the header is read
     images: dict[str, Mat] = {}
-    for ln in lines[1:]:
-        if not ln.startswith("map "):
-            raise ValueError(f"expected 'map <gen> = <bits>', got {ln!r}")
-        body = ln[len("map "):]
-        if "=" not in body:
-            raise ValueError(f"expected 'map <gen> = <bits>', got {ln!r}")
-        gen, bits = (part.strip() for part in body.split("=", 1))
-        if gen in images:
-            raise ValueError(f"duplicate image for {gen}")
-        if len(bits) != n * n or set(bits) - {"0", "1"}:
-            raise ValueError(f"image of {gen} must be {n * n} bits")
-        images[gen] = decode_matrix(int(bits[::-1], 2), n)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        try:
+            if not n:
+                if not ln.startswith("rep n="):
+                    raise ValueError("missing 'rep n=<dim>' header")
+                try:
+                    n = int(ln[len("rep n="):])
+                except ValueError:
+                    raise ValueError(f"bad dimension in header {ln!r}") from None
+                if n < 1:
+                    raise ValueError("dimension must be positive")
+                continue
+            if not ln.startswith("map ") or "=" not in ln:
+                raise ValueError(f"expected 'map <gen> = <bits>', got {ln!r}")
+            gen, bits = (part.strip() for part in ln[len("map "):].split("=", 1))
+            if gen in images:
+                raise ValueError(f"duplicate image for {gen}")
+            if len(bits) != n * n or set(bits) - {"0", "1"}:
+                raise ValueError(f"image of {gen} must be {n * n} bits")
+            images[gen] = decode_matrix(int(bits[::-1], 2), n)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not n:
+        raise ValueError("missing 'rep n=<dim>' header")
     return MatRepAssignment(n, images)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +27,8 @@ from lch.dga import compute_dga, specialize_dga
 from lch.freealg import F2, ZT, GradedPresentation, NcPoly, parse
 from lch.reps import evaluate_poly, mat_zero
 
-CERTS = pathlib.Path(__file__).resolve().parents[1] / "certs"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CERTS = ROOT / "certs"
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +140,26 @@ def test_parse_rejects_missing_arrow():
         parse_certificate("subst a = b with x1 0\n")
 
 
+def test_malformed_comb_line_is_refused_in_linear_time():
+    # 40 terms with 8 spaces inside every parenthesis and the last ")"
+    # missing: a cofactor pattern that lets both "\s*" and a lazy cofactor
+    # eat the spaces backtracks for seconds on 2 terms, and on 40 it does
+    # not finish within the timeout below
+    pad = " " * 8
+    body = " + ".join(f"({pad}x1{pad}) * r * ({pad}1{pad})" for _ in range(40))
+    child = ("import sys\n"
+             "from lch.chalg import CertificateError, parse_certificate\n"
+             "try:\n"
+             "    parse_certificate(sys.stdin.read())\n"
+             "except CertificateError as exc:\n"
+             "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", child], input=f"comb c = {body[:-1]}\n",
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("line 1: ") and proc.stdout.count("\n") == 1
+
+
 # ---- certificate replay ----
 
 def test_empty_certificate_passes():
@@ -181,9 +206,14 @@ def test_subst_with_backed_rule():
 
 def test_subst_rejects_cyclic_rules():
     rs = rel_set(["x1", "x2"], [("r", "x1 + x2"), ("q", "x1.x2")])
-    cert = parse_certificate("subst s = q with x1 -> x2; x2 -> x1\n")
-    report = verify_certificate(rs, cert)
-    assert not report.ok and "cyclic" in report.failure
+    for rules, failure in [
+        ("x1 -> x2; x2 -> x1", "substitution rules are cyclic"),
+        # an image that names its own generator is a cycle of length one
+        ("x1 -> x1 + x2", "substitution rules are cyclic"),
+        ("x1 -> x2; x1 -> 0", "duplicate generator in rule set"),
+    ]:
+        report = verify_certificate(rs, parse_certificate(f"subst s = q with {rules}\n"))
+        assert not report.ok and report.failure == failure, rules
 
 
 def test_assert_mismatch_reports_residual():
@@ -274,6 +304,27 @@ def test_k2_norep_certificate_yields_verdict(k2):
     assert verdict.ok, verdict.detail
 
 
+def _replay_lines(report) -> list[str]:
+    return [*report.lines(), *report.registered,
+            *(f"{name} = {value.render()} <- {' '.join(sorted(report.deps[name]))}"
+              for name, value in report.table.items())]
+
+
+def test_bundled_replays_match_their_digest(k1, k2):
+    # verdicts, registrations and final tables (values and dependency sets,
+    # in table order) of the three bundled replays
+    k1_report = verify_certificate(
+        char_algebra(k1), parse_certificate(refdata.k1_trivial_cert_text(), ring=ZT))
+    text = (CERTS / "k2_norep.cert").read_text()
+    witnesses = parse_cert_directives(text).witnesses
+    verdict = adjoin_and_derive(char_algebra(k2), witnesses["a"], witnesses["b"],
+                                parse_certificate(text))
+    lines = [*_replay_lines(k1_report), *_replay_lines(_k2_quotient_report(k2)),
+             verdict.detail, *_replay_lines(verdict.report)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "8db4b71bd49d6b0ec0a80f369feaba9489e57e56e8622549ac1f40b61d86c86c"
+
+
 def test_adjoin_rejects_unestablished_inverse(k2):
     # using the adjoined relation before a*b - 1 is on the table is unsound
     rs = char_algebra(k2)
@@ -285,6 +336,17 @@ def test_adjoin_rejects_unestablished_inverse(k2):
         "assert-unit r1\n")
     verdict = adjoin_and_derive(rs, a, b, cert)
     assert not verdict.ok
+
+
+def test_adjoin_refuses_an_inverse_never_established():
+    # c = x2.r0 + adjoined = 1, but a*b - 1 = x1.x2 + 1 is never reached
+    # without 'adjoined'
+    rs = rel_set(["x1", "x2"], [("r0", "x1")])
+    cert = parse_certificate("comb c = ( x2 ) * r0 * ( 1 ) + ( 1 ) * adjoined * ( 1 )\n"
+                             "assert-unit c\n")
+    verdict = adjoin_and_derive(rs, parse("x1", F2), parse("x2", F2), cert)
+    assert verdict.report.ok and not verdict.ok
+    assert verdict.detail == "a*b - 1 was never established without 'adjoined'"
 
 
 def test_adjoin_with_preexisting_unit_relation():

@@ -314,6 +314,21 @@ def test_verify_norep_bundled(capsys):
     assert code == EXIT_OK and "0 = 1" in out
 
 
+def test_verify_norep_refuses_adjoined_before_inverse(tmp_path, capsys):
+    # the r_x18 block uses 'adjoined'; moved above subst r_ab, it does so
+    # before a*b - 1 is on the table, so the lemma does not apply even
+    # though every step still replays
+    text = pathlib.Path(K2_NOREP).read_text()
+    start, end = text.index("# x20 . D(x22)"), text.index("# x11.Q")
+    rest = text[:start] + text[end:]
+    at = rest.index("subst r_ab")
+    cert = tmp_path / "c.cert"
+    cert.write_text(rest[:at] + text[start:end] + rest[at:])
+    code, out, err = run(capsys, "verify", "norep", "--dga", K2_DGA, "--cert", str(cert))
+    assert code == EXIT_FAIL and err == ""
+    assert out == "'adjoined' was used before a*b - 1 was established\n"
+
+
 def test_verify_norep_needs_witness_lines(tmp_path, capsys):
     cert = tmp_path / "c.cert"
     cert.write_text("assert-unit d_x25\n")
@@ -349,7 +364,7 @@ def test_verify_rep_parse_error_names_the_file(tmp_path, capsys):
     rep.write_text("rep n=2\nmap x1 = 010\n")
     code, out, err = run(capsys, "verify", "rep", "--dga", K1_DGA, "--rep", str(rep))
     assert code == EXIT_USAGE and out == ""
-    assert err == f"error: {rep}: image of x1 must be 4 bits\n"
+    assert err == f"error: {rep}: line 2: image of x1 must be 4 bits\n"
 
 
 def test_verify_torus(capsys):
