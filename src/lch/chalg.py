@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .dga import DGA
 from .freealg import (
@@ -235,6 +235,13 @@ _ASSUME_RE = re.compile(r"^#\s*assume\s+([A-Za-z_]\w*)\s*=\s*(.+?)\s*$")
 _WITNESS_RE = re.compile(r"^#\s*witness\s+([ab])\s*=\s*(.+?)\s*$")
 
 
+class Directive(NamedTuple):
+    line: int
+    kind: str  # "assume" or "witness"
+    name: str  # the assumed relation's name, or the witness "a" or "b"
+    value: NcPoly
+
+
 @dataclass(frozen=True)
 class CertDirectives:
     """Machine-readable comments carried by a certificate file.
@@ -243,31 +250,62 @@ class CertDirectives:
     replay expects on the table; `witness` lines record the pair whose
     product is asserted invertible when the file is fed to
     adjoin_and_derive.  They live in comments so the step grammar stays
-    closed; parse_certificate ignores them entirely.
+    closed; parse_certificate ignores them entirely.  Each is kept with its
+    line, so that `check` can name the line it refuses.
     """
 
-    assumptions: tuple[tuple[str, NcPoly], ...]
-    witnesses: Mapping[str, NcPoly]
+    entries: tuple[Directive, ...]
+
+    @property
+    def assumptions(self) -> tuple[tuple[str, NcPoly], ...]:
+        return tuple((d.name, d.value) for d in self.entries if d.kind == "assume")
+
+    @property
+    def witnesses(self) -> dict[str, NcPoly]:
+        return {d.name: d.value for d in self.entries if d.kind == "witness"}
+
+    def check(self, presentation: GradedPresentation) -> None:
+        """Raise CertificateError, naming the line and the directive, at the
+        first directive that uses a generator the presentation lacks, or
+        assumes a name that is repeated or reserved: d_<generator> names a
+        differential, and 'adjoined' is the relation adjoin_and_derive adds."""
+        known = set(presentation.generators)
+        reserved = {f"d_{g}" for g in known} | {"adjoined"}
+        seen: set[str] = set()
+        for d in self.entries:
+            where = f"line {d.line}: {d.kind} {d.name}"
+            if d.kind == "assume":
+                if d.name in reserved:
+                    raise CertificateError(f"{where}: relation name {d.name!r} is reserved")
+                if d.name in seen:
+                    raise CertificateError(f"{where}: duplicate relation name {d.name!r}")
+                seen.add(d.name)
+            unknown = d.value.generators() - known
+            if unknown:
+                raise CertificateError(f"{where}: unknown generators {sorted(unknown)}")
 
 
 def parse_cert_directives(text: str, ring: str = F2) -> CertDirectives:
-    assumptions: list[tuple[str, NcPoly]] = []
-    witnesses: dict[str, NcPoly] = {}
+    entries: list[Directive] = []
+    witnesses: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         try:
             m = _ASSUME_RE.match(line)
             if m:
-                assumptions.append((m.group(1), parse_poly(m.group(2), ring)))
+                entries.append(Directive(lineno, "assume", m.group(1),
+                                         parse_poly(m.group(2), ring)))
                 continue
             m = _WITNESS_RE.match(line)
             if m:
                 if m.group(1) in witnesses:
                     raise CertificateError(f"duplicate witness {m.group(1)}")
-                witnesses[m.group(1)] = parse_poly(m.group(2), ring)
+                witnesses.add(m.group(1))
+                entries.append(Directive(lineno, "witness", m.group(1),
+                                         parse_poly(m.group(2), ring)))
         except ValueError as exc:
             raise CertificateError(f"line {lineno}: {exc}") from None
-    return CertDirectives(tuple(assumptions), witnesses)
+    return CertDirectives(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

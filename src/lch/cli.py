@@ -5,13 +5,17 @@ operation, and prints a deterministic report.  Exit codes are scriptable:
 0 means verified or completed, 1 means an assertion failed, 2 means the
 input or usage was bad.  Input faults surface as ValueError (CertificateError
 and GradingError are subclasses), and main turns every one into a one-line
-message and exit 2, as it does a MemoryError or RecursionError.
+message and exit 2, as it does a MemoryError or RecursionError.  A fault in
+an input file, whether in its syntax or against the DGA, names the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
+import contextlib
 import functools
+import re
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
@@ -36,13 +40,20 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """A ValueError raised inside is about this file, and names it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
     """parse applied to the file's text; a parse error names the file."""
     text = _read(path)
-    try:
+    with _naming(path):
         return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_dga(path: str) -> dgamod.DGA:
@@ -53,10 +64,45 @@ def _front_from_args(args) -> "FrontDiagram":
     return build_front(parse_plat(args.word, args.strands), base_cusp=args.base_cusp)
 
 
+def _parse_error(text: str, ring: str) -> Optional[ValueError]:
+    """parse's error on text cut after its last factor, if it has one."""
+    text = re.sub(r"[\s+*-]+$", "", text)
+    try:
+        if text:
+            parse_poly(text, ring)
+    except ValueError as exc:
+        return exc
+    return None
+
+
 def _element_from_file(path: str, ring: str) -> NcPoly:
+    """The polynomial that the file's lines other than # comments spell.
+
+    A line break is whitespace to the grammar, so a term may span lines.  A
+    bad file names the first line at which the lines read so far, cut after
+    their last factor, fail, or else the last line, whose ending separator
+    is then at fault.  Lines that fail still fail with one more line read
+    (unless its t cancels a term's t over F2), so a bisection finds it.  The
+    message is the line's own error, leading separators cut, or if the line
+    is good alone, the error of all the lines read.
+    """
     def parse(text: str) -> NcPoly:
-        return parse_poly("\n".join(ln for ln in text.splitlines()
-                                    if not ln.strip().startswith("#")), ring)
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
+                 if ln.strip() and not ln.strip().startswith("#")]
+        body = "\n".join(ln for _, ln in lines)
+        try:
+            return parse_poly(body, ring)
+        except ValueError as exc:
+            if re.fullmatch(r"[\s+]*", body):
+                raise  # the file holds no term, which no line is to blame for
+
+            def read_to(i: int) -> Optional[ValueError]:
+                return _parse_error("\n".join(ln for _, ln in lines[:i + 1]), ring)
+            i = min(bisect.bisect_left(range(len(lines)), True, key=lambda i: bool(read_to(i))),
+                    len(lines) - 1)
+            n, ln = lines[i]
+            alone = _parse_error(re.sub(r"^[\s+*]+", "", ln), ring)
+            raise ValueError(f"line {n}: {alone or read_to(i) or exc}") from None
     return _parse_file(path, parse)
 
 
@@ -119,11 +165,12 @@ def cmd_verify_d2(args) -> int:
 def cmd_verify_unit(args) -> int:
     g = _load_dga(args.dga)
     e = _element_from_file(args.element_file, g.presentation.ring)
-    try:
-        ok = chalg.verify_unit(g, e)
-    except chalg.CertificateError as exc:
-        print(f"FAILED {exc}")
-        return EXIT_FAIL
+    with _naming(args.element_file):  # e names a generator the DGA lacks
+        try:
+            ok = chalg.verify_unit(g, e)
+        except chalg.CertificateError as exc:
+            print(f"FAILED {exc}")
+            return EXIT_FAIL
     if ok:
         print("d(element) = 1: algebra is trivial")
         return EXIT_OK
@@ -132,17 +179,24 @@ def cmd_verify_unit(args) -> int:
 
 
 def _load_cert(args):
-    """The DGA, and the certificate's steps and directives in its ring."""
+    """The DGA, and the certificate's steps and directives in its ring, the
+    directives checked against the DGA's generators."""
     g = _load_dga(args.dga)
     ring = g.presentation.ring
-    return g, *_parse_file(args.cert, lambda text: (chalg.parse_certificate(text, ring=ring),
-                                                    chalg.parse_cert_directives(text, ring=ring)))
+
+    def parse(text: str):
+        cert = chalg.parse_certificate(text, ring=ring)
+        directives = chalg.parse_cert_directives(text, ring=ring)
+        directives.check(g.presentation)
+        return cert, directives
+    return g, *_parse_file(args.cert, parse)
 
 
 def cmd_verify_cert(args) -> int:
     g, cert, directives = _load_cert(args)
     rs = chalg.char_algebra(g).adjoin_all(directives.assumptions)
-    report = chalg.verify_certificate(rs, cert)
+    with _naming(args.cert):  # a step names a generator the DGA lacks
+        report = chalg.verify_certificate(rs, cert)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -150,11 +204,13 @@ def cmd_verify_cert(args) -> int:
 
 def cmd_verify_norep(args) -> int:
     g, cert, directives = _load_cert(args)
-    missing = {"a", "b"} - set(directives.witnesses)
-    if missing:
-        raise ValueError(f"certificate lacks witness line(s) for {sorted(missing)}")
-    verdict = chalg.adjoin_and_derive(
-        chalg.char_algebra(g), directives.witnesses["a"], directives.witnesses["b"], cert)
+    witnesses = directives.witnesses
+    with _naming(args.cert):
+        missing = {"a", "b"} - set(witnesses)
+        if missing:
+            raise ValueError(f"certificate lacks witness line(s) for {sorted(missing)}")
+        verdict = chalg.adjoin_and_derive(
+            chalg.char_algebra(g), witnesses["a"], witnesses["b"], cert)
     print(verdict.detail)
     return EXIT_OK if verdict.ok else EXIT_FAIL
 
@@ -162,7 +218,8 @@ def cmd_verify_norep(args) -> int:
 def cmd_verify_rep(args) -> int:
     g = _load_dga(args.dga)
     rho = _parse_file(args.rep, reps.deserialize_rep)
-    ok = reps.verify_matrix_rep(g, rho)
+    with _naming(args.rep):  # an image missing, or one for a generator the DGA lacks
+        ok = reps.verify_matrix_rep(g, rho)
     print(f"representation of dimension {rho.n}: {'verified' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_FAIL
 

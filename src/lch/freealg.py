@@ -22,16 +22,12 @@ ZT = "ZT"
 
 _RINGS = (F2, ZT)
 
-_GEN_RE = re.compile(r"[A-Za-z_]\w*")
-# one factor of a term, with the separator before it, whitespace stripped:
-# groups are the separator ('' at the start), a sign '-' opening the term,
-# then exactly one of an integer, t or t^k (with k), a dot-joined word of
-# generator names other than t, or anything else up to the next separator;
-# the last group is '*' when the term goes on past this factor
-_FACTOR_RE = re.compile(
-    r"(^|[+*])\s*(-\s*)?"
-    r"(?:(\d+)|(t(?:\^(-?\d+))?)|((?!t\b)[A-Za-z_]\w*(?:\.(?!t\b)[A-Za-z_]\w*)*)|([^+*]*?))"
-    r"\s*(?=(\*)|\+|\Z)")
+# a generator name; t is the Laurent variable, never a generator
+_NAME = r"(?!t\b)[A-Za-z_]\w*"
+_NAME_RE = re.compile(_NAME)
+# the two kinds of factor besides an integer: a word, and t or t^k
+_WORD_RE = re.compile(rf"{_NAME}(?:\.{_NAME})*")
+_T_POWER_RE = re.compile(r"t(?:\^(-?\d+))?")
 
 Word = tuple[str, ...]
 # coefficient = Laurent polynomial, exponent -> integer, no zero values stored
@@ -141,7 +137,7 @@ class NcPoly:
     def word(names: Iterable[str], ring: str) -> "NcPoly":
         w = tuple(names)
         for g in w:
-            if not _GEN_RE.fullmatch(g) or g == "t":
+            if not _NAME_RE.fullmatch(g):
                 raise ValueError(f"bad generator name {g!r}")
         return NcPoly(ring, {w: {0: 1}})
 
@@ -219,36 +215,38 @@ class NcPoly:
 
 
 def parse(text: str, ring: str) -> NcPoly:
-    """Parse the canonical flat rendering back into an NcPoly."""
+    """Parse the canonical flat rendering back into an NcPoly.
+
+    The text is a sum of terms, split at '+' and before each '-' that is
+    not an exponent's sign; a '-' negates its term.  A term is a product of
+    factors split at '*', each a dot-joined word, an integer, or t or t^k.
+    Blank terms are skipped; every other term is read whole, and its t
+    refused over F2, before the next.
+    """
     _check_ring(ring)
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
-    if s == "0":
-        return NcPoly.zero(ring)
-    # a '-' not part of an exponent starts a new negated term; the text is
-    # then read in one pass, factor by factor
     triples: list[Triple] = []
-    coef = exp = 0
-    word: list[str] = []
-    for sep, neg, digits, tee, tpow, names, other, more in _FACTOR_RE.findall(
-            re.sub(r"(?<!\^)-", "+-", s)):
-        if sep != "*":
-            coef, exp, word = (-1 if neg else 1), 0, []
-        if digits:
-            coef *= int(digits)
-        elif tee:
-            exp += int(tpow) if tpow else 1
-        elif names:
-            word += names.split(".")
-        elif other or neg or sep == "*" or more:
-            raise ValueError(f"bad factor {other!r} in {text!r}")
-        else:
-            continue  # a blank term
-        if more:
+    # a '+' before every '-', then taken back where the '-' follows a '^'
+    for term in s.replace("-", "+-").replace("^+-", "^-").split("+"):
+        term = term.strip()
+        if not term:
             continue
-        # checked here too, so that t is reported before a later bad factor
-        if ring == F2 and exp != 0:
+        coef, exp, word = 1, 0, []
+        if term[0] == "-":
+            coef, term = -1, term[1:]
+        for factor in term.split("*"):
+            factor = factor.strip()
+            if _WORD_RE.fullmatch(factor):
+                word += factor.split(".")
+            elif factor.isdecimal():  # exactly the strings \d+ matches
+                coef *= int(factor)
+            elif m := _T_POWER_RE.fullmatch(factor):
+                exp += int(m[1] or 1)
+            else:
+                raise ValueError(f"bad factor {factor!r} in {text!r}")
+        if ring == F2 and exp:
             raise ValueError("t is not allowed over F2")
         triples.append((tuple(word), exp, coef))
     if not triples:
@@ -299,7 +297,7 @@ class GradedPresentation:
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
         for g in self.generators:
-            if not _GEN_RE.fullmatch(g) or g == "t":
+            if not _NAME_RE.fullmatch(g):
                 raise ValueError(f"bad generator name {g!r}")
         unknown = set(self.grading) - set(self.generators)
         if unknown:

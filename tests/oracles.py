@@ -3,16 +3,19 @@
 The augmentation oracle reads the DGA directly and shares no code with
 `lch.reps`, whose compiled search it checks.  The segment walk reads a
 front's event list and shares no code with `lch.plat`, whose piece walk it
-checks.
+checks.  `factor_regex_parse` is the polynomial reader that `lch.freealg`
+used before it split terms and factors: one regex matched each factor with
+the separator before it, and two flags carried the term across matches.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import NamedTuple
 
 from lch.dga import DGA
-from lch.freealg import F2
+from lch.freealg import F2, NcPoly, Triple, _check_ring, _poly
 
 
 def exhaustive_augmentations(g: DGA, graded: bool = False) -> list[dict[str, int]]:
@@ -112,3 +115,52 @@ def segment_walk(events, n_slots: int) -> SegmentWalk:
             signs[ev.name] = 1 if heading[(j, c)] == heading[(j, d)] else -1
             differences[ev.name] = potential[(j, c)] - potential[(j, d)]
     return SegmentWalk(signs, down, up, drift, differences)
+
+
+# one factor of a term, with the separator before it, whitespace stripped:
+# groups are the separator ('' at the start), a sign '-' opening the term,
+# then exactly one of an integer, t or t^k (with k), a dot-joined word of
+# generator names other than t, or anything else up to the next separator;
+# the last group is '*' when the term goes on past this factor
+_FACTOR_RE = re.compile(
+    r"(^|[+*])\s*(-\s*)?"
+    r"(?:(\d+)|(t(?:\^(-?\d+))?)|((?!t\b)[A-Za-z_]\w*(?:\.(?!t\b)[A-Za-z_]\w*)*)|([^+*]*?))"
+    r"\s*(?=(\*)|\+|\Z)")
+
+
+def factor_regex_parse(text: str, ring: str) -> NcPoly:
+    """Parse the canonical flat rendering back into an NcPoly."""
+    _check_ring(ring)
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return NcPoly.zero(ring)
+    # a '-' not part of an exponent starts a new negated term; the text is
+    # then read in one pass, factor by factor
+    triples: list[Triple] = []
+    coef = exp = 0
+    word: list[str] = []
+    for sep, neg, digits, tee, tpow, names, other, more in _FACTOR_RE.findall(
+            re.sub(r"(?<!\^)-", "+-", s)):
+        if sep != "*":
+            coef, exp, word = (-1 if neg else 1), 0, []
+        if digits:
+            coef *= int(digits)
+        elif tee:
+            exp += int(tpow) if tpow else 1
+        elif names:
+            word += names.split(".")
+        elif other or neg or sep == "*" or more:
+            raise ValueError(f"bad factor {other!r} in {text!r}")
+        else:
+            continue  # a blank term
+        if more:
+            continue
+        # checked here too, so that t is reported before a later bad factor
+        if ring == F2 and exp != 0:
+            raise ValueError("t is not allowed over F2")
+        triples.append((tuple(word), exp, coef))
+    if not triples:
+        raise ValueError(f"no terms in {text!r}")
+    return _poly(ring, triples)

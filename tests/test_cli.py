@@ -206,7 +206,38 @@ def test_verify_unit_rejects_unknown_generator(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "unit", "--dga", K1_DGA,
                          "--element-file", str(el))
     assert code == EXIT_USAGE and out == ""
-    assert err == "error: unknown generator(s) x99 in unit witness\n"
+    assert err == f"error: {el}: unknown generator(s) x99 in unit witness\n"
+
+
+@pytest.mark.parametrize("text,line,message", [
+    # a term runs on across lines; the third line is bad on its own
+    ("# c\nx1 +\n x2 ** x3\n", 3, "bad factor '' in 'x2 ** x3'"),
+    # the second line is good alone and bad where it meets the first
+    ("x1 *\n+ x2\n", 2, "bad factor '' in 'x1 *\\n+ x2'"),
+    ("x1\n# c\nx2\n", 3, "bad factor 'x1\\nx2' in 'x1\\nx2'"),
+    ("* x1\n", 1, "bad factor '' in '* x1'"),
+    # only the separator ending the file is at fault
+    ("x1 +\nx2 *\n\n", 2, "bad factor '' in 'x1 +\\nx2 *'"),
+    # no term at all is the file's fault, not a line's
+    ("# c\n+\n\n", None, "no terms in '+'"),
+], ids=["own-line", "joined-by-plus", "no-separator", "leading-star", "trailing-star",
+        "no-term"])
+def test_verify_unit_names_the_bad_line(tmp_path, capsys, text, line, message):
+    el = tmp_path / "e.expr"
+    el.write_text(text)
+    code, out, err = run(capsys, "verify", "unit", "--dga", K2_DGA, "--element-file", str(el))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {el}: " + (f"line {line}: " if line else "") + f"{message}\n"
+
+
+def test_verify_unit_reads_terms_across_lines_and_comments(tmp_path, capsys):
+    # the bundled witness, broken before every '*' and after every '+', with
+    # a comment line after each '+'
+    el = tmp_path / "e.expr"
+    text = pathlib.Path(K1_EXPR).read_text()
+    el.write_text(text.replace("*", "\n*").replace(" + ", " +\n# next term\n"))
+    code, out, err = run(capsys, "verify", "unit", "--dga", K1_DGA, "--element-file", str(el))
+    assert (code, out, err) == (EXIT_OK, "d(element) = 1: algebra is trivial\n", "")
 
 
 def test_verify_unit_failure(tmp_path, capsys):
@@ -275,7 +306,26 @@ def test_verify_cert_rejects_unknown_generators(tmp_path, capsys, text, name):
     code, out, err = run(capsys, "verify", "cert", "--dga", K2_DGA,
                          "--cert", str(cert))
     assert code == EXIT_USAGE and out == ""
-    assert err == f"error: relation {name!r} uses unknown generators ['x99']\n"
+    assert err == f"error: {cert}: relation {name!r} uses unknown generators ['x99']\n"
+
+
+@pytest.mark.parametrize("check,old,new,message", [
+    ("cert", "i_x7 = x7", "i_x3 = x3", "line 4: assume i_x3: duplicate relation name 'i_x3'"),
+    ("cert", "i_x7 = x7", "d_x7 = x7", "line 4: assume d_x7: relation name 'd_x7' is reserved"),
+    ("cert", "i_x7 = x7", "adjoined = x7",
+     "line 4: assume adjoined: relation name 'adjoined' is reserved"),
+    ("cert", "i_x7 = x7", "i_x7 = x99", "line 4: assume i_x7: unknown generators ['x99']"),
+    ("norep", "b = x20", "b = x99", "line 3: witness b: unknown generators ['x99']"),
+], ids=["repeated", "differential", "adjoined", "assume-unknown", "witness-unknown"])
+def test_cert_directive_errors_name_the_line(tmp_path, capsys, check, old, new, message):
+    # one directive of a bundled certificate edited; each is refused before
+    # the steps replay, and the message names the file, line and directive
+    source = K2_QUOT if check == "cert" else K2_NOREP
+    cert = tmp_path / "c.cert"
+    cert.write_text(pathlib.Path(source).read_text().replace(old, new, 1))
+    code, out, err = run(capsys, "verify", check, "--dga", K2_DGA, "--cert", str(cert))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {cert}: {message}\n"
 
 
 @pytest.mark.parametrize("check", ["cert", "norep"])
@@ -356,7 +406,7 @@ def test_verify_rep_rejects_images_of_unknown_generators(tmp_path, capsys, name)
     code, out, err = run(capsys, "verify", "rep", "--dga", str(dga_path),
                          "--rep", str(rep))
     assert code == EXIT_USAGE and out == ""
-    assert err == f"error: image for unknown generator {name}\n"
+    assert err == f"error: {rep}: image for unknown generator {name}\n"
 
 
 def test_verify_rep_parse_error_names_the_file(tmp_path, capsys):
@@ -753,15 +803,16 @@ def _m942_table() -> str:
 
 
 def _file_input(source: str, argv):
-    def build(text: str, work: pathlib.Path) -> list[str]:
+    def build(text: str, work: pathlib.Path) -> tuple[list[str], pathlib.Path]:
         (work / "m942.dga").write_text(_m942_table())
         target = work / pathlib.Path(source).name
         target.write_text(text)
-        return [a.format(input=target, m942=work / "m942.dga") for a in argv]
+        return [a.format(input=target, m942=work / "m942.dga") for a in argv], target
     return pathlib.Path(source).read_text(), build
 
 
-# format -> (seed text, argv for a mutated copy written under a work directory)
+# format -> (seed text, (argv, the file written or None) for a mutated copy
+# under a work directory)
 FUZZ_FORMATS = {
     "k2.dga": _file_input(K2_DGA, ["verify", "d2", "--dga", "{input}"]),
     "k1.dga": _file_input(K1_DGA, ["verify", "d2", "--dga", "{input}"]),
@@ -770,7 +821,7 @@ FUZZ_FORMATS = {
     "k1_unit.expr": _file_input(K1_EXPR, ["verify", "unit", "--dga", K1_DGA, "--element-file", "{input}"]),
     "m9_42.rep": _file_input(M942_REP, ["verify", "rep", "--dga", "{m942}", "--rep", "{input}"]),
     # "--" keeps a word that starts with "-" from reading as an option
-    "plat": (refdata.K2_WORD, lambda text, work: ["dga", "--strands", "6", "--", text]),
+    "plat": (refdata.K2_WORD, lambda text, work: (["dga", "--strands", "6", "--", text], None)),
 }
 
 _TOKENS = ["x1", "x20", "x99", "ax5", "t", "t^-1", "-1*", "+", "-", ".", "*", "=", "->",
@@ -801,13 +852,15 @@ def _mutate(text: str, edits) -> str:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(edits=_EDITS)
 def test_mutated_inputs_exit_cleanly(fmt, edits):
-    # any input ends in a verdict or a one-line usage error, never a traceback
+    # any input ends in a verdict or a one-line usage error, never a
+    # traceback, and a usage error names the mutated file it is about
     seed, argv = FUZZ_FORMATS[fmt]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as work:
-        args = argv(_mutate(seed, edits), pathlib.Path(work))
+        args, target = argv(_mutate(seed, edits), pathlib.Path(work))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(args)
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
     if code == EXIT_USAGE:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert target is None or err.getvalue().startswith(f"error: {target}: ")

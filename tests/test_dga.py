@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings, strategies as st
 
 from lch import refdata
 from lch.dga import (
@@ -25,6 +26,7 @@ from lch.dga import (
 )
 from lch.freealg import F2, ZT, Coef, NcPoly, Word, parse
 from lch.plat import build_front, maslov_grading, parse_plat
+from lch.reps import torus_rep, verify_matrix_rep
 from plat_strategies import front_of, knot_plats
 
 
@@ -335,6 +337,72 @@ def test_torus_labelings_and_tables_are_pinned():
                 for ring in (F2, ZT):
                     digest.update(serialize(compute_dga(front, ring)).encode())
     assert digest.hexdigest() == "fde560f46d8ac26212eadc740e3ea8965187e2fb18fa38a293ccf3f3b8f1e8d3"
+
+
+def test_torus_rep_verifies_on_every_pinned_pair():
+    # every coprime 3 <= p < q <= 15, as the pin above enumerates
+    for p in range(3, 16):
+        for q in range(p + 1, 16):
+            if math.gcd(p, q) == 1:
+                _, g, lab = torus_dga(p, q)
+                assert verify_matrix_rep(g, torus_rep(p, q, lab)), (p, q)
+
+
+# ---- the front's reflection z -> -z ----
+
+STUDY_PLATS = {
+    "k1": (refdata.K1_STRANDS, refdata.K1_WORD),
+    "k2": (refdata.K2_STRANDS, refdata.K2_WORD),
+    "m942": (refdata.M942_STRANDS, refdata.M942_WORD),
+    "trefoil": (4, "2,2,2"),
+}
+
+
+def _assert_flip_reverses_words(strands: int, letters, ring: str) -> None:
+    """Reflecting a plat front in z -> -z sends letter k to strands - k.
+    Crossings keep their names, right cusps j and n + 1 - j swap, and the
+    base point moves with its cusp.  The reflected DGA's differential of a
+    generator is then the original's with every word reversed and renamed:
+    exactly over F2, and over ZT up to a diagonal equivalence once a word w
+    takes the Koszul sign (-1)^(sum over i < j of |w_i| |w_j|)."""
+    front = build_front(parse_plat(",".join(map(str, letters)), strands))
+    crossings, cusps = front.crossing_names, front.cusp_names
+    rename = dict(zip(crossings + cusps, crossings + cusps[::-1]))
+    flipped = build_front(parse_plat(",".join(str(strands - k) for k in letters), strands),
+                          base_cusp=rename[front.base_cusp])
+    try:
+        g, h = compute_dga(front, ring), compute_dga(flipped, ring)
+    except RuntimeError:  # the sweep's cap refused one of them
+        reject()
+    degree = g.presentation.grading
+    assert h.presentation.grading == {rename[x]: d for x, d in degree.items()}
+
+    def reversed_renamed(p: NcPoly) -> NcPoly:
+        terms = {}
+        for w, coef in p.terms.items():
+            koszul = sum(degree[a] * degree[b] for a, b in itertools.combinations(w, 2))
+            sign = -1 if ring == ZT and koszul % 2 else 1
+            terms[tuple(rename[x] for x in reversed(w))] = {e: sign * c for e, c in coef.items()}
+        return NcPoly(ring, terms)
+
+    want = {rename[x]: reversed_renamed(g.d(x)) for x in g.presentation.generators}
+    if ring == F2:
+        assert h.differential == want
+    else:
+        assert dga_diag_equivalent(h, DGA(h.presentation, want)) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(knot_plats, st.sampled_from([F2, ZT]))
+def test_random_plat_flip_reverses_every_word(sw, ring):
+    _assert_flip_reverses_words(*sw, ring)
+
+
+@pytest.mark.parametrize("ring", [F2, ZT])
+@pytest.mark.parametrize("name", sorted(STUDY_PLATS))
+def test_study_front_flip_reverses_every_word(name, ring):
+    strands, word = STUDY_PLATS[name]
+    _assert_flip_reverses_words(strands, [int(k) for k in word.split(",")], ring)
 
 
 SWEEP_CAP = re.compile(r"disk sweep for \S+ exceeded \d+ states per slice")

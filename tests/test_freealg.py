@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lch.freealg import (
     F2,
@@ -17,6 +17,7 @@ from lch.freealg import (
     substitute,
     word_key,
 )
+from oracles import factor_regex_parse
 
 
 def x(i: int, ring: str = F2) -> NcPoly:
@@ -118,7 +119,7 @@ def test_parse_rejects_garbage():
 
 # each malformed text and its exact message; within a term every factor is
 # read before the term's t is refused over F2, and terms are read in order
-@pytest.mark.parametrize("text,ring,message", [
+MALFORMED = [
     ("", F2, "empty polynomial text"),
     (" \n\t", ZT, "empty polynomial text"),
     ("+", F2, "no terms in '+'"),
@@ -144,7 +145,10 @@ def test_parse_rejects_garbage():
     ("t*x1 y", F2, "bad factor 'x1 y' in 't*x1 y'"),
     ("t + x$", F2, "t is not allowed over F2"),
     ("x1", "Q", "unknown ring 'Q'"),
-])
+]
+
+
+@pytest.mark.parametrize("text,ring,message", MALFORMED)
 def test_parse_malformed_messages(text, ring, message):
     with pytest.raises(ValueError) as err:
         parse(text, ring)
@@ -201,6 +205,39 @@ def test_parse_round_trips_written_terms(case):
     got = parse(text, ring)
     assert got == want
     assert parse(got.render(), ring) == got
+
+
+_PIECES = ["x1", "x10", "y_3", "tt", "t2", "T", "t", "t^", "t^2", "t^-1", "^", "-", "+", "*",
+           ".", "0", "1", "07", " ", "\t", "\n", "\x1c", "é", "٣", "²", "$", "(", "x1.t", "t^x"]
+_FACTORS = ["x1", "x2.x10", "y_3.tt", "t", "t^2", "t^-3", "t^0", "0", "1", "3"]
+_SEPARATORS = [" + ", "+", " - ", "-", "*", " * ", "\n+ ", " -\n"]
+# any text from pieces of the grammar, or a product and sum of good factors
+_texts = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+    st.tuples(st.sampled_from(_FACTORS),
+              st.lists(st.tuples(st.sampled_from(_SEPARATORS), st.sampled_from(_FACTORS)),
+                       max_size=7)).map(lambda t: t[0] + "".join(sep + f for sep, f in t[1])))
+
+
+def _outcome(read, text, ring):
+    try:
+        return list(read(text, ring).terms.items())
+    except ValueError as exc:
+        return str(exc)
+
+
+def _malformed_examples(test):
+    for text, ring, _ in MALFORMED:
+        test = example(text, ring)(test)
+    return test
+
+
+@_malformed_examples
+@settings(max_examples=400)
+@given(_texts, st.sampled_from([F2, ZT]))
+def test_parse_matches_the_factor_regex_oracle(text, ring):
+    # equal terms in equal order, or the same message
+    assert _outcome(parse, text, ring) == _outcome(factor_regex_parse, text, ring)
 
 
 def test_parse_f2_reduces_mod_two():
