@@ -14,8 +14,7 @@ named relation that is, by construction, an element of the ideal:
           an already registered relation equal to +-(g - p)
 
 plus two assertion forms (`assert-unit`, `assert`) that check the derived
-values.  Dependency sets are tracked per relation so that adjoin_and_derive
-can enforce its precondition (see the Lemma encoded there).
+values.
 
 Replay is deterministic: substitution rule sets must be acyclic (checked).
 The rules resolve in dependency order, each image after the ruled generators
@@ -26,7 +25,7 @@ substitution, which the acyclicity makes finite and strategy-independent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -35,6 +34,7 @@ from .freealg import (
     F2,
     GradedPresentation,
     NcPoly,
+    content_lines,
     parse as parse_poly,
     substitute,
 )
@@ -140,6 +140,8 @@ Step = Union[DiffStep, CombStep, SubstStep, AssertUnitStep, AssertEqualStep]
 @dataclass(frozen=True)
 class Certificate:
     steps: tuple[Step, ...]
+    # the line each step was read from; equality compares the steps alone
+    lines: tuple[int, ...] = field(compare=False)
 
 
 _NAME = r"[A-Za-z_]\w*"
@@ -158,7 +160,7 @@ _AEQ_RE = re.compile(rf"^assert\s+({_NAME})\s*=\s*(.*)$")
 def parse_certificate(text: str, ring: str = F2) -> Certificate:
     """Parse the line-oriented certificate format.
 
-    Grammar (one step per line, # starts a comment line):
+    Grammar (one step per line, # starts a comment):
       diff <name> = D( <poly> )
       comb <name> = ( <poly> ) * <rel> * ( <poly> ) [ + ... ]
       subst <name> = <rel> with <gen> -> <poly> [; <gen> -> <poly> ...]
@@ -167,15 +169,14 @@ def parse_certificate(text: str, ring: str = F2) -> Certificate:
     A comb cofactor, like every <poly>, holds no parentheses.
     """
     steps: list[Step] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines: list[int] = []
+    for lineno, line in content_lines(text):
         try:
             steps.append(_parse_step(line, ring))
         except ValueError as exc:
             raise CertificateError(f"line {lineno}: {exc}") from None
-    return Certificate(tuple(steps))
+        lines.append(lineno)
+    return Certificate(tuple(steps), tuple(lines))
 
 
 def _parse_step(line: str, ring: str) -> Step:
@@ -316,7 +317,6 @@ def parse_cert_directives(text: str, ring: str = F2) -> CertDirectives:
 class CertReport:
     ok: bool
     table: dict[str, NcPoly]
-    deps: dict[str, frozenset[str]]
     registered: tuple[str, ...]
     failure: Optional[str] = None
     failed_index: Optional[int] = None
@@ -354,32 +354,25 @@ def _substitute_resolved(value: NcPoly, done: Mapping[str, NcPoly]) -> NcPoly:
                               for g in value.generators()})
 
 
-def _backing_relation(
-    table: Mapping[str, NcPoly],
-    gen: str,
-    image: NcPoly,
-    ring: str,
-) -> Optional[str]:
+def _backed(table: Mapping[str, NcPoly], gen: str, image: NcPoly, ring: str) -> bool:
+    """Whether a registered relation equals +-(gen - image)."""
     want = NcPoly.gen(gen, ring) - image
     wneg = -want
-    for name, value in table.items():
-        if value == want or value == wneg:
-            return name
-    return None
+    return any(value == want or value == wneg for value in table.values())
 
 
 def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
     """Replay a certificate against a relation set, checking every step.
 
     Returns a report carrying the final relation table (initial relations
-    plus every registered one) and per-relation dependency sets.  Soundness:
-    each registered value is an explicit two-sided combination of initial
-    relations and differentials, so it lies in the defining ideal.  A step
-    that reads a generator outside the presentation raises CertificateError
-    before any step is replayed.
+    plus every registered one).  Soundness: each registered value is an
+    explicit two-sided combination of initial relations and differentials,
+    so it lies in the defining ideal.  A step that reads a generator outside
+    the presentation raises CertificateError, naming the step's line, before
+    any step is replayed.
     """
     known = set(rs.presentation.generators)
-    for step in cert.steps:
+    for step, line in zip(cert.steps, cert.lines):
         names = set()
         if isinstance(step, (DiffStep, AssertEqualStep)):
             names = step.expr.generators()
@@ -388,16 +381,15 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
         elif isinstance(step, SubstStep):
             names = names.union(*({g} | p.generators() for g, p in step.rules))
         if names - known:
-            raise CertificateError(f"relation {step.name!r} uses unknown generators "
-                                   f"{sorted(names - known)}")
+            raise CertificateError(f"line {line}: relation {step.name!r} uses unknown "
+                                   f"generators {sorted(names - known)}")
     ring = rs.ring
     table = rs.table()
-    deps: dict[str, frozenset[str]] = {name: frozenset({name}) for name in table}
     registered: list[str] = []
     derive: Optional[Callable[[NcPoly], NcPoly]] = None
 
     def fail(i: int, msg: str, residual: Optional[NcPoly] = None) -> CertReport:
-        return CertReport(False, table, deps, tuple(registered), msg, i, residual)
+        return CertReport(False, table, tuple(registered), msg, i, residual)
 
     for i, step in enumerate(cert.steps):
         if isinstance(step, (DiffStep, CombStep, SubstStep)):
@@ -411,15 +403,12 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
             if step.expr.ring != ring:
                 return fail(i, "expression ring mismatch")
             value = derive(step.expr)
-            dep: frozenset[str] = frozenset()
         elif isinstance(step, CombStep):
             value = NcPoly.zero(ring)
-            dep = frozenset()
             for u, r, v in step.terms:
                 if r not in table:
                     return fail(i, f"unknown relation {r!r}")
                 value = value + u * table[r] * v
-                dep |= deps[r]
         elif isinstance(step, SubstStep):
             if step.source not in table:
                 return fail(i, f"unknown relation {step.source!r}")
@@ -428,14 +417,7 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
             resolved = _resolve_rules(step.rules)
             if resolved is None:
                 return fail(i, "substitution rules are cyclic")
-            dep = deps[step.source]
-            bad = None
-            for g, p in step.rules:
-                backing = _backing_relation(table, g, p, ring)
-                if backing is None:
-                    bad = g
-                    break
-                dep |= deps[backing]
+            bad = next((g for g, p in step.rules if not _backed(table, g, p, ring)), None)
             if bad is not None:
                 return fail(i, f"rule {bad!r} not backed by a registered relation")
             value = _substitute_resolved(table[step.source], resolved)
@@ -458,9 +440,8 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
         else:  # pragma: no cover - defensive
             return fail(i, f"unknown step type {type(step).__name__}")
         table[step.name] = value
-        deps[step.name] = dep
         registered.append(step.name)
-    return CertReport(True, table, deps, tuple(registered))
+    return CertReport(True, table, tuple(registered))
 
 
 # ---------------------------------------------------------------------------
@@ -505,30 +486,22 @@ def adjoin_and_derive(rs: RelationSet, a: NcPoly, b: NcPoly, cert: Certificate) 
     representation would factor through the adjoined quotient, which is zero.
 
     The certificate is replayed with the extra relation named 'adjoined'
-    (value b*a - 1).  Its first steps must establish a*b - 1 without using
-    'adjoined' (or a*b - 1 must already be a relation), and it must end with
-    assert-unit.  Only then is the verdict issued.
+    (value b*a - 1), and it must end with assert-unit.  Precondition: a*b - 1
+    (up to sign), or 1, lies in rs's own ideal.  It is checked by replaying
+    the certificate again on rs alone, which stops at the first step that
+    needs 'adjoined' and registers only relations of rs's ideal: that table
+    must hold a*b - 1 or 1.  Only then is the verdict issued.
     """
-    ring = rs.ring
-    one = NcPoly.one(ring)
-    target = a * b - one
-    adjoined = b * a - one
-    rs2 = rs.adjoin_all([("adjoined", adjoined)])
-    report = verify_certificate(rs2, cert)
+    one = NcPoly.one(rs.ring)
+    inverse = (a * b - one, one - a * b)
+    report = verify_certificate(rs.adjoin_all([("adjoined", b * a - one)]), cert)
     if not report.ok:
         return NoRepVerdict(False, f"certificate failed: {report.failure}", report)
     if not cert.steps or not isinstance(cert.steps[-1], AssertUnitStep):
         return NoRepVerdict(False, "certificate does not end with assert-unit", report)
-
-    used = False  # whether a relation before this one in the table used 'adjoined'
-    for name, v in report.table.items():
-        if name == "adjoined":
-            continue
-        if "adjoined" in report.deps[name]:
-            used = True
-        elif v == target or v == -target or v.is_one():
-            if used:
-                return NoRepVerdict(
-                    False, "'adjoined' was used before a*b - 1 was established", report)
-            return NoRepVerdict(True, "derived 0 = 1 after adjoining b*a = 1", report)
+    if any(v in inverse or v.is_one() for v in verify_certificate(rs, cert).table.values()):
+        return NoRepVerdict(True, "derived 0 = 1 after adjoining b*a = 1", report)
+    if any(v in inverse for name, v in report.table.items() if name != "adjoined"):
+        return NoRepVerdict(
+            False, "'adjoined' was used before a*b - 1 was established", report)
     return NoRepVerdict(False, "a*b - 1 was never established without 'adjoined'", report)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
 from . import chalg, dga as dgamod, reps
-from .freealg import F2, ZT, NcPoly, parse as parse_poly
+from .freealg import F2, ZT, NcPoly, content_lines, parse as parse_poly
 from .plat import build_front, classical_invariants, maslov_grading, parse_plat
 
 EXIT_OK = 0
@@ -60,6 +60,14 @@ def _load_dga(path: str) -> dgamod.DGA:
     return _parse_file(path, dgamod.deserialize)
 
 
+def _load_f2_dga(path: str) -> dgamod.DGA:
+    """A table for the representation commands, which work over F2 only."""
+    g = _load_dga(path)
+    if g.presentation.ring != F2:
+        raise ValueError(f"{path}: representations are supported over F2 only")
+    return g
+
+
 def _front_from_args(args) -> "FrontDiagram":
     return build_front(parse_plat(args.word, args.strands), base_cusp=args.base_cusp)
 
@@ -76,7 +84,7 @@ def _parse_error(text: str, ring: str) -> Optional[ValueError]:
 
 
 def _element_from_file(path: str, ring: str) -> NcPoly:
-    """The polynomial that the file's lines other than # comments spell.
+    """The polynomial that the file's lines spell, # comments aside.
 
     A line break is whitespace to the grammar, so a term may span lines.  A
     bad file names the first line at which the lines read so far, cut after
@@ -87,8 +95,7 @@ def _element_from_file(path: str, ring: str) -> NcPoly:
     is good alone, the error of all the lines read.
     """
     def parse(text: str) -> NcPoly:
-        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
-                 if ln.strip() and not ln.strip().startswith("#")]
+        lines = list(content_lines(text))
         body = "\n".join(ln for _, ln in lines)
         try:
             return parse_poly(body, ring)
@@ -216,7 +223,7 @@ def cmd_verify_norep(args) -> int:
 
 
 def cmd_verify_rep(args) -> int:
-    g = _load_dga(args.dga)
+    g = _load_f2_dga(args.dga)
     rho = _parse_file(args.rep, reps.deserialize_rep)
     with _naming(args.rep):  # an image missing, or one for a generator the DGA lacks
         ok = reps.verify_matrix_rep(g, rho)
@@ -242,7 +249,7 @@ def cmd_verify_R(args) -> int:
 def cmd_search_aug(args) -> int:
     if args.budget < 1:
         raise ValueError(f"--budget must be positive, got {args.budget}")
-    g = _load_dga(args.dga)
+    g = _load_f2_dga(args.dga)
     found, reason, _ = reps._augmentations(g, args.graded, args.budget)
     gens = g.presentation.generators
     for eps in found:
@@ -259,7 +266,7 @@ def cmd_search_matrep(args) -> int:
         raise ValueError(f"--n must be a positive dimension, got {args.n}")
     if args.budget < 1:
         raise ValueError(f"--budget must be positive, got {args.budget}")
-    g = _load_dga(args.dga)
+    g = _load_f2_dga(args.dga)
     rho, reason, _ = reps._search(g, args.n, args.budget)
     if reason == "budget":
         print("0 representation(s) within budget (inconclusive)")

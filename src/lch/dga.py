@@ -47,6 +47,7 @@ from .freealg import (
     NcPoly,
     Word,
     _poly,
+    content_lines,
     parse,
     signed_derivation,
     specialize,
@@ -264,10 +265,7 @@ def deserialize(text: str) -> DGA:
     seen_mod = False
     grading: dict[str, int] = {}  # the generators in file order, with degrees
     diff: dict[str, NcPoly] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in content_lines(text):
         parts = line.split(None, 2)
         head = parts[0]
         try:

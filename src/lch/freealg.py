@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 F2 = "F2"
 ZT = "ZT"
@@ -212,6 +212,14 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self.ring}, {self.render()})"
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text before any '#', stripped) for each line with such text."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse(text: str, ring: str) -> NcPoly:

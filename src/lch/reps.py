@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Union
 
 from .chalg import RelationSet
 from .dga import DGA, TorusLabeling
-from .freealg import F2, NcPoly, parse, word_key
+from .freealg import F2, NcPoly, content_lines, parse, word_key
 
 Mat = tuple[int, ...]
 
@@ -777,10 +777,7 @@ def serialize_rep(rho: MatRepAssignment) -> str:
 def deserialize_rep(text: str) -> MatRepAssignment:
     n = 0  # until the header is read
     images: dict[str, Mat] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for lineno, ln in content_lines(text):
         try:
             if not n:
                 if not ln.startswith("rep n="):

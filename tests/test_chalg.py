@@ -130,6 +130,16 @@ def test_parse_rejects_garbage_with_line_number():
         parse_certificate("diff a = D( x1 )\nfrobnicate b\n")
 
 
+def test_unknown_generator_refusal_names_the_step_line():
+    # comment and blank lines count, and a trailing comment is not read
+    cert = parse_certificate("# note\n\ncomb r = ( x1 ) * r0 * ( 1 )  # x99\n"
+                             "comb s = ( x99 ) * r0 * ( 1 )\n")
+    assert cert.lines == (3, 4)
+    with pytest.raises(CertificateError,
+                       match=r"^line 4: relation 's' uses unknown generators \['x99'\]$"):
+        verify_certificate(rel_set(["x1"], [("r0", "x1")]), cert)
+
+
 def test_parse_rejects_bad_polynomial():
     with pytest.raises(CertificateError, match="line 1"):
         parse_certificate("diff a = D( x1 x2 )\n")
@@ -306,13 +316,12 @@ def test_k2_norep_certificate_yields_verdict(k2):
 
 def _replay_lines(report) -> list[str]:
     return [*report.lines(), *report.registered,
-            *(f"{name} = {value.render()} <- {' '.join(sorted(report.deps[name]))}"
-              for name, value in report.table.items())]
+            *(f"{name} = {value.render()}" for name, value in report.table.items())]
 
 
 def test_bundled_replays_match_their_digest(k1, k2):
-    # verdicts, registrations and final tables (values and dependency sets,
-    # in table order) of the three bundled replays
+    # verdicts, registrations and final tables (values in table order) of
+    # the three bundled replays
     k1_report = verify_certificate(
         char_algebra(k1), parse_certificate(refdata.k1_trivial_cert_text(), ring=ZT))
     text = (CERTS / "k2_norep.cert").read_text()
@@ -322,7 +331,7 @@ def test_bundled_replays_match_their_digest(k1, k2):
     lines = [*_replay_lines(k1_report), *_replay_lines(_k2_quotient_report(k2)),
              verdict.detail, *_replay_lines(verdict.report)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "8db4b71bd49d6b0ec0a80f369feaba9489e57e56e8622549ac1f40b61d86c86c"
+    assert digest == "a19fd9beea545003bc37d4ad712afb57c0e4b8a0eb976330b175daa9d3fe37d0"
 
 
 def test_adjoin_rejects_unestablished_inverse(k2):
@@ -345,6 +354,27 @@ def test_adjoin_refuses_an_inverse_never_established():
     cert = parse_certificate("comb c = ( x2 ) * r0 * ( 1 ) + ( 1 ) * adjoined * ( 1 )\n"
                              "assert-unit c\n")
     verdict = adjoin_and_derive(rs, parse("x1", F2), parse("x2", F2), cert)
+    assert verdict.report.ok and not verdict.ok
+    assert verdict.detail == "a*b - 1 was never established without 'adjoined'"
+
+
+def test_adjoin_blames_adjoined_when_only_it_reaches_the_inverse():
+    # t = p + adjoined is a*b - 1, but only by way of 'adjoined'
+    rs = rel_set(["x1", "x2"], [("p", "x1.x2 + x2.x1"), ("e", "x1.x2")])
+    cert = parse_certificate("comb t = ( 1 ) * p * ( 1 ) + ( 1 ) * adjoined * ( 1 )\n"
+                             "comb one = ( 1 ) * t * ( 1 ) + ( 1 ) * e * ( 1 )\n"
+                             "assert-unit one\n")
+    verdict = adjoin_and_derive(rs, parse("x1", F2), parse("x2", F2), cert)
+    assert verdict.report.ok and not verdict.ok
+    assert verdict.detail == "'adjoined' was used before a*b - 1 was established"
+
+
+def test_adjoin_does_not_count_adjoined_as_the_inverse():
+    # a = b = x commute, so 'adjoined' itself equals a*b - 1
+    rs = rel_set(["x"], [("e", "x.x")])
+    cert = parse_certificate("comb one = ( 1 ) * adjoined * ( 1 ) + ( 1 ) * e * ( 1 )\n"
+                             "assert-unit one\n")
+    verdict = adjoin_and_derive(rs, parse("x", F2), parse("x", F2), cert)
     assert verdict.report.ok and not verdict.ok
     assert verdict.detail == "a*b - 1 was never established without 'adjoined'"
 

@@ -306,7 +306,7 @@ def test_verify_cert_rejects_unknown_generators(tmp_path, capsys, text, name):
     code, out, err = run(capsys, "verify", "cert", "--dga", K2_DGA,
                          "--cert", str(cert))
     assert code == EXIT_USAGE and out == ""
-    assert err == f"error: {cert}: relation {name!r} uses unknown generators ['x99']\n"
+    assert err == f"error: {cert}: line 1: relation {name!r} uses unknown generators ['x99']\n"
 
 
 @pytest.mark.parametrize("check,old,new,message", [
@@ -412,9 +412,49 @@ def test_verify_rep_rejects_images_of_unknown_generators(tmp_path, capsys, name)
 def test_verify_rep_parse_error_names_the_file(tmp_path, capsys):
     rep = tmp_path / "bad.rep"
     rep.write_text("rep n=2\nmap x1 = 010\n")
-    code, out, err = run(capsys, "verify", "rep", "--dga", K1_DGA, "--rep", str(rep))
+    code, out, err = run(capsys, "verify", "rep", "--dga", K2_DGA, "--rep", str(rep))
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {rep}: line 2: image of x1 must be 4 bits\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rep", "--rep", M942_REP],
+    ["search", "aug"],
+    ["search", "matrep", "--n", "2"],
+], ids=["verify-rep", "search-aug", "search-matrep"])
+def test_representation_commands_blame_a_laurent_table(capsys, argv):
+    # the table's ring is checked before the rep file is read, and the
+    # message names the table
+    code, out, err = run(capsys, *argv, "--dga", K1_DGA)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {K1_DGA}: representations are supported over F2 only\n"
+
+
+# argv for each file format, {input} standing for the file
+_COMMENTED_FORMATS = {
+    "dga": (K2_DGA, ["verify", "d2", "--dga", "{input}"]),
+    "rep": (M942_REP, ["verify", "rep", "--dga", "{m942}", "--rep", "{input}"]),
+    "cert": (K2_NOREP, ["verify", "norep", "--dga", K2_DGA, "--cert", "{input}"]),
+    "expr": (K1_EXPR, ["verify", "unit", "--dga", K1_DGA, "--element-file", "{input}"]),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_COMMENTED_FORMATS))
+def test_trailing_comments_are_ignored_in_every_format(tmp_path, capsys, fmt):
+    # the text after a '#' is a comment in every file format, so a comment
+    # after each line that is not one already leaves the verdict as it was
+    source, argv = _COMMENTED_FORMATS[fmt]
+    m942 = tmp_path / "m942.dga"
+    m942.write_text(_m942_table())
+    commented = tmp_path / pathlib.Path(source).name
+    commented.write_text("".join(
+        ln + ("" if ln.lstrip().startswith("#") else f"  # note {i}") + "\n"
+        for i, ln in enumerate(pathlib.Path(source).read_text().splitlines())))
+
+    def outcome(path):
+        return run(capsys, *(a.format(input=path, m942=m942) for a in argv))
+    assert outcome(commented) == outcome(source)
+    assert outcome(source)[0] == EXIT_OK
 
 
 def test_verify_torus(capsys):
@@ -681,7 +721,8 @@ print(json.dumps(got))
 def test_outcomes_do_not_depend_on_the_hash_seed(tmp_path):
     # a file naming several unknown generators, and the README's commands;
     # the seed is fixed when a process starts, so each seed gets a process
-    # of its own
+    # of its own, and so does a run under -O, which strips assert statements:
+    # no verdict may rest on one
     bad = tmp_path / "bad.dga"
     bad.write_text("ring F2\ngen x1 1\nd x1 = yy.zz + ww\n")
     tables = {"m942": _m942_table(),
@@ -692,14 +733,16 @@ def test_outcomes_do_not_depend_on_the_hash_seed(tmp_path):
         paths[name].write_text(text)
     sequence = [["verify", "d2", "--dga", str(bad)]] + [
         [a.format(**paths) for a in argv] for argv in README_COMMANDS]
-    runs = []
-    for seed in range(6):
+
+    def outcomes(seed: int, *flags: str) -> list:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
-        proc = subprocess.run([sys.executable, "-c", _OUTCOMES, json.dumps(sequence)],
+        proc = subprocess.run([sys.executable, *flags, "-c", _OUTCOMES, json.dumps(sequence)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-        runs.append(json.loads(proc.stdout))
+        return json.loads(proc.stdout)
+    runs = [outcomes(seed) for seed in range(6)]
     assert all(got == runs[0] for got in runs)
+    assert outcomes(0, "-O") == runs[0]
     # the first unknown generator in word order is the one reported
     assert runs[0][0] == ["", f"error: {bad}: line 3: unknown generator yy in d x1\n", EXIT_USAGE]
     assert [code for _, _, code in runs[0][1:]] == [EXIT_OK] * len(README_COMMANDS)
