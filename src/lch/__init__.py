@@ -13,7 +13,6 @@ from .chalg import (
     char_algebra,
     parse_cert_directives,
     parse_certificate,
-    render_certificate,
     verify_certificate,
     verify_unit,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "char_algebra",
     "CertificateError",
     "parse_certificate",
-    "render_certificate",
     "parse_cert_directives",
     "verify_certificate",
     "verify_unit",

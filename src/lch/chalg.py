@@ -210,30 +210,9 @@ def _parse_step(line: str, ring: str) -> Step:
     raise CertificateError(f"unrecognized step {line!r}")
 
 
-def render_certificate(cert: Certificate) -> str:
-    lines = []
-    for step in cert.steps:
-        if isinstance(step, DiffStep):
-            lines.append(f"diff {step.name} = D( {step.expr.render()} )")
-        elif isinstance(step, CombStep):
-            body = " + ".join(
-                f"( {u.render()} ) * {r} * ( {v.render()} )" for u, r, v in step.terms
-            )
-            lines.append(f"comb {step.name} = {body}")
-        elif isinstance(step, SubstStep):
-            body = "; ".join(f"{g} -> {p.render()}" for g, p in step.rules)
-            lines.append(f"subst {step.name} = {step.source} with {body}")
-        elif isinstance(step, AssertUnitStep):
-            lines.append(f"assert-unit {step.name}")
-        elif isinstance(step, AssertEqualStep):
-            lines.append(f"assert {step.name} = {step.expr.render()}")
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
-    return "\n".join(lines) + "\n"
-
-
-_ASSUME_RE = re.compile(r"^#\s*assume\s+([A-Za-z_]\w*)\s*=\s*(.+?)\s*$")
-_WITNESS_RE = re.compile(r"^#\s*witness\s+([ab])\s*=\s*(.+?)\s*$")
+# a directive's polynomial ends where a trailing '#' comment starts
+_ASSUME_RE = re.compile(rf"^#\s*assume\s+({_NAME})\s*=\s*([^#]+?)\s*(?:#.*)?$")
+_WITNESS_RE = re.compile(r"^#\s*witness\s+([ab])\s*=\s*([^#]+?)\s*(?:#.*)?$")
 
 
 class Directive(NamedTuple):
@@ -453,8 +432,8 @@ def verify_unit(g: DGA, e: NcPoly) -> bool:
 
     Such an e makes the characteristic algebra trivial (0 = 1), hence the
     contact homology vanishes.  As a consistency check, a successful witness
-    must be homogeneous of grading 1 (the differential has degree -1); one
-    that is not raises CertificateError.
+    must be homogeneous of grading 1 mod the modulus (the differential has
+    degree -1); one that is not raises CertificateError.
     An e naming generators the DGA lacks raises ValueError.
     """
     unknown = sorted(e.generators() - set(g.presentation.generators))
@@ -463,9 +442,7 @@ def verify_unit(g: DGA, e: NcPoly) -> bool:
     value = g.derivation()(e)
     if not value.is_one():
         return False
-    pres = g.presentation
-    want = 1 % pres.modulus if pres.modulus else 1
-    if any(pres.word_degree(word) != want for word in e.terms):
+    if g.presentation.off_degree(e, 1) is not None:
         raise CertificateError("unit witness is not homogeneous of grading 1")
     return True
 

@@ -43,9 +43,9 @@ from .freealg import (
     ZT,
     Coef,
     GradedPresentation,
-    GradingError,
     NcPoly,
     Word,
+    _check_ring,
     _poly,
     content_lines,
     parse,
@@ -107,7 +107,8 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
     against `cap`, twice the number of events times the number of slots.
     Over the cap, the pairs no generator to the east reads are dropped, and
     a pass still over it raises RuntimeError("disk sweep for <crossing>
-    exceeded <cap> states per slice").
+    exceeded <cap> states per slice").  Both rings suit every knot front: its
+    modulus |up - down cusps| is even, as up + down = 2 * #(left cusps).
     """
     last_non_r = max((k for k, e in enumerate(front.events) if e.kind != "R"),
                      default=-1)
@@ -116,8 +117,6 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
         raise ValueError("front is not simple: a right cusp sits left of another event")
 
     table = maslov_grading(front)
-    if ring == ZT and table.modulus % 2:
-        raise GradingError("ZT signs need a Z or even-modulus grading")
     mod2 = ring == F2
     cap = 2 * len(front.events) * front.n_slots
     # disks[u][l]: word -> coefficient for the partial disks on slots u < l
@@ -213,16 +212,13 @@ def check_d_squared(dga: DGA) -> Optional[tuple[str, NcPoly]]:
 
 
 def check_homogeneous(dga: DGA) -> Optional[tuple[str, Word]]:
-    """None if every differential is homogeneous of degree -1."""
+    """None if every differential is homogeneous of degree -1, else the
+    first generator whose differential is not, with its first off-degree word."""
     pres = dga.presentation
-    m = pres.modulus
     for g in pres.generators:
-        want = pres.degree_of(g) - 1
-        if m:
-            want %= m
-        for w in dga.differential[g].terms:
-            if pres.word_degree(w) != want:
-                return (g, w)
+        w = pres.off_degree(dga.differential[g], pres.grading[g] - 1)
+        if w is not None:
+            return (g, w)
     return None
 
 
@@ -280,8 +276,7 @@ def deserialize(text: str) -> DGA:
                 if ring is not None:
                     raise ValueError("duplicate ring line")
                 ring = parts[1]
-                if ring not in (F2, ZT):
-                    raise ValueError(f"unknown ring {ring!r}")
+                _check_ring(ring)
             elif head == "mod":
                 if seen_mod:
                     raise ValueError("duplicate mod line")

@@ -36,7 +36,7 @@ Triple = tuple[Word, int, int]  # (word, exponent of t, coefficient)
 
 
 class GradingError(ValueError):
-    """Signs were requested over ZT from a grading of odd modulus."""
+    """A presentation over ZT was given a grading of odd modulus."""
 
 
 def _check_ring(ring: str) -> None:
@@ -141,10 +141,6 @@ class NcPoly:
                 raise ValueError(f"bad generator name {g!r}")
         return NcPoly(ring, {w: {0: 1}})
 
-    @staticmethod
-    def t_power(k: int) -> "NcPoly":
-        return NcPoly(ZT, {(): {k: 1}})
-
     # ---- ring operations ----
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
@@ -182,9 +178,6 @@ class NcPoly:
         for w in self.terms:
             seen.update(w)
         return seen
-
-    def constant_coef(self) -> Coef:
-        return dict(self.terms.get((), {}))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -291,7 +284,8 @@ class GradedPresentation:
 
     The grading covers exactly the generators: every DGA here is graded by
     the Maslov potential of its front, or by its file's `gen` lines.
-    modulus 0 means an honest Z-grading; modulus m > 0 means Z/m.
+    modulus 0 means an honest Z-grading; modulus m > 0 means Z/m.  Over ZT
+    the Leibniz signs read degrees mod 2, so the modulus must be even (or 0).
     """
 
     generators: tuple[str, ...]
@@ -313,13 +307,24 @@ class GradedPresentation:
         missing = [g for g in self.generators if g not in self.grading]
         if missing:
             raise ValueError(f"no grading for generators {missing}")
+        if self.ring == ZT and self.modulus % 2:
+            raise GradingError("signs need a Z or even-modulus grading")
 
     def degree_of(self, name: str) -> int:
         return self.grading[name]
 
     def word_degree(self, word: Word) -> int:
-        d = sum(self.degree_of(g) for g in word)
+        d = sum(map(self.grading.__getitem__, word))
         return d % self.modulus if self.modulus else d
+
+    def off_degree(self, p: NcPoly, degree: int) -> Word | None:
+        """The first word of p whose degree is not `degree` mod the modulus, or None."""
+        m, deg = self.modulus, self.grading.__getitem__
+        for w in p.terms:
+            diff = sum(map(deg, w)) - degree
+            if diff % m if m else diff:
+                return w
+        return None
 
 
 def signed_derivation(
@@ -329,13 +334,12 @@ def signed_derivation(
 
     Over F2 signs vanish and no grading is consulted.  Over ZT the sign in
     front of w[:i]*d(w[i])*w[i+1:] is (-1)^(degree of the prefix); only the
-    parity matters, so a Z/m grading with m even is fine too.  `d` is read
-    once, here: each nonzero d(g) is flattened into (word, exponent,
-    coefficient) triples, so later changes to `d` do not reach the result.
+    parity matters, which is why a ZT presentation has an even modulus or
+    none.  `d` is read once, here: each nonzero d(g) is flattened into
+    (word, exponent, coefficient) triples, so later changes to `d` do not
+    reach the result.
     """
     ring = pres.ring
-    if ring == ZT and pres.modulus % 2:
-        raise GradingError("signs need a Z or even-modulus grading")
     grading = pres.grading
     flat = {g: _triples(dg.terms) for g, dg in d.items() if dg.terms}
 

@@ -232,10 +232,7 @@ def classical_invariants(front: FrontDiagram) -> tuple[int, int]:
     tr = front.traversal
     writhe = sum(tr.crossing_signs.values())
     tb = writhe - len(front.cusp_names)
-    r2 = tr.down_cusps - tr.up_cusps
-    if r2 % 2:
-        raise ValueError(f"odd cusp imbalance {r2}: the front is not a closed knot")
-    return tb, r2 // 2
+    return tb, (tr.down_cusps - tr.up_cusps) // 2
 
 
 def maslov_grading(front: FrontDiagram) -> GradingTable:

@@ -39,10 +39,6 @@ def k2_front():
     return build_front(parse_plat(K2_WORD, K2_STRANDS))
 
 
-def m942_front():
-    return build_front(parse_plat(M942_WORD, M942_STRANDS))
-
-
 # differentials of the 23-generator reference table over Z[t,t^-1];
 # unlisted generators have differential zero
 _K1_DIFFERENTIALS = {

@@ -12,6 +12,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -435,6 +436,7 @@ _COMMENTED_FORMATS = {
     "dga": (K2_DGA, ["verify", "d2", "--dga", "{input}"]),
     "rep": (M942_REP, ["verify", "rep", "--dga", "{m942}", "--rep", "{input}"]),
     "cert": (K2_NOREP, ["verify", "norep", "--dga", K2_DGA, "--cert", "{input}"]),
+    "cert-assume": (K2_QUOT, ["verify", "cert", "--dga", K2_DGA, "--cert", "{input}"]),
     "expr": (K1_EXPR, ["verify", "unit", "--dga", K1_DGA, "--element-file", "{input}"]),
 }
 
@@ -442,13 +444,14 @@ _COMMENTED_FORMATS = {
 @pytest.mark.parametrize("fmt", sorted(_COMMENTED_FORMATS))
 def test_trailing_comments_are_ignored_in_every_format(tmp_path, capsys, fmt):
     # the text after a '#' is a comment in every file format, so a comment
-    # after each line that is not one already leaves the verdict as it was
+    # after each line, a directive's `# witness` or `# assume` line included,
+    # leaves the verdict as it was
     source, argv = _COMMENTED_FORMATS[fmt]
     m942 = tmp_path / "m942.dga"
     m942.write_text(_m942_table())
     commented = tmp_path / pathlib.Path(source).name
     commented.write_text("".join(
-        ln + ("" if ln.lstrip().startswith("#") else f"  # note {i}") + "\n"
+        ln + (f"  # note {i}" if ln.strip() else "") + "\n"
         for i, ln in enumerate(pathlib.Path(source).read_text().splitlines())))
 
     def outcome(path):
@@ -816,6 +819,32 @@ def test_every_exported_name_resolves():
     assert len(names) > len(lch.__all__) and stale == []
 
 
+def test_every_defined_name_is_read_outside_the_tests():
+    # a function or class of the package that only the tests name is dead
+    # code: each is named again in the package, the bench, the scripts or
+    # the README.  A re-export in __init__ is not a reader, and dunder
+    # methods are called by Python itself
+    package = sorted((ROOT / "src" / "lch").glob("*.py"))
+    corpus = "\n".join(p.read_text() for p in [
+        *package, *(ROOT / "bench").glob("*.py"), ROOT / "bench" / "README.md",
+        *(ROOT / "scripts").glob("*.py"), ROOT / "README.md"] if p.name != "__init__.py")
+    defined: dict[str, int] = {}
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    unread = sorted(name for name, count in defined.items()
+                    if len(re.findall(rf"\b{name}\b", corpus)) <= count)
+    assert unread == []
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # pyproject declares requires-python >= 3.10
+    for path in sorted((ROOT / "src" / "lch").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_bundled_artifacts_match_their_builders():
     # the byte-identity pin on the four built files in data/ and certs/:
     # --check writes nothing and exits 1 naming each file that differs from
@@ -842,7 +871,8 @@ def test_hand_written_certificates_match_their_digests(name, digest):
 
 @functools.cache
 def _m942_table() -> str:
-    return serialize(compute_dga(refdata.m942_front(), F2))
+    front = build_front(parse_plat(refdata.M942_WORD, refdata.M942_STRANDS))
+    return serialize(compute_dga(front, F2))
 
 
 def _file_input(source: str, argv):

@@ -34,7 +34,7 @@ def test_add_keeps_distinct_words():
 
 
 def test_add_merges_laurent_exponents():
-    p = NcPoly.t_power(1) + NcPoly.t_power(-1)
+    p = parse("t", ZT) + parse("t^-1", ZT)
     assert p.terms == {(): {1: 1, -1: 1}}
 
 
@@ -69,7 +69,7 @@ def test_render_basics():
     assert NcPoly.zero(ZT).render() == "0"
     assert NcPoly.one(ZT).render() == "1"
     assert (-x(1, ZT)).render() == "-1*x1"
-    assert NcPoly.t_power(-1).render() == "t^-1*1"
+    assert parse("t^-1", ZT).render() == "t^-1*1"
     assert (x(2, ZT) * x(5, ZT)).render() == "x2.x5"
 
 
@@ -266,7 +266,7 @@ def test_substitute_identity_and_missing_image():
 
 
 def test_specialize_examples():
-    p = NcPoly.t_power(-1) + NcPoly.word(["x15", "x2"], ZT)
+    p = parse("t^-1", ZT) + NcPoly.word(["x15", "x2"], ZT)
     assert specialize(p) == parse("1 + x15.x2", F2)
     assert specialize(-x(1, ZT)) == x(1, F2)
     assert specialize(x(3, ZT).scale(2)).is_zero()
@@ -304,9 +304,29 @@ def test_presentation_rejects_partial_grading():
 
 
 def test_signed_derivation_rejects_odd_modulus():
-    pres = GradedPresentation(("x1",), grading={"x1": 0}, ring=ZT, modulus=3)
+    # the presentation refuses the odd modulus when it is built, so no
+    # derivation over ZT ever reads its signs from one
     with pytest.raises(GradingError):
-        signed_derivation(pres, {})
+        signed_derivation(GradedPresentation(("x1",), grading={"x1": 0}, ring=ZT, modulus=3), {})
+
+
+@pytest.mark.parametrize("modulus", [1, 3, 5])
+def test_presentation_refuses_odd_modulus_over_zt_only(modulus):
+    with pytest.raises(GradingError, match=r"^signs need a Z or even-modulus grading$"):
+        GradedPresentation(("x1",), grading={"x1": 0}, ring=ZT, modulus=modulus)
+    assert GradedPresentation(("x1",), {"x1": 0}, F2, modulus).modulus == modulus
+    assert GradedPresentation(("x1",), {"x1": 0}, ZT, modulus + 1).modulus == modulus + 1
+
+
+def test_off_degree_compares_mod_the_modulus():
+    # degrees 2, 6 = 2 and 1 mod 4: the third word is the first off degree 2,
+    # and -2 = 2 mod 4; with no modulus degrees compare exactly
+    pres = GradedPresentation(("x1", "x2"), grading={"x1": 3, "x2": 1}, modulus=4)
+    assert pres.off_degree(parse("x2.x2 + x1.x1 + x2 + x1", F2), 2) == ("x2",)
+    assert pres.off_degree(parse("x2.x2 + x1.x1", F2), -2) is None
+    exact = GradedPresentation(("x1", "x2"), grading={"x1": 3, "x2": 1})
+    assert exact.off_degree(parse("x2.x2 + x1.x1", F2), 2) == ("x1", "x1")
+    assert exact.off_degree(NcPoly.zero(F2), 7) is None
 
 
 _NAMES = ["x1", "x2", "x3", "x4", "x5", "x6"]

@@ -22,7 +22,7 @@ from plat_strategies import front_of, knot_plats, small_plats
 FIXED_FRONTS = {
     "k1": refdata.k1_front,
     "k2": refdata.k2_front,
-    "m9_42": refdata.m942_front,
+    "m9_42": lambda: build_front(parse_plat(refdata.M942_WORD, refdata.M942_STRANDS)),
     **{f"T({p},-{q})": (lambda p=p, q=q: torus_front(p, q)[0])
        for p, q in refdata.TORUS_ACCEPTANCE_PAIRS + ((7, 9),)},
 }
@@ -107,7 +107,7 @@ def test_jones_of_the_study_knots_is_that_of_t25(name):
 
 def test_jones_of_m942_as_computed():
     # pinned as this sweep computes it; no knot table is at hand to compare with
-    front = refdata.m942_front()
+    front = build_front(parse_plat(refdata.M942_WORD, refdata.M942_STRANDS))
     assert jones_polynomial(front.events) == {-3: 1, -2: -1, -1: 1, 0: -1, 1: 1, 2: -1, 3: 1}
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import pytest
 from hypothesis import given, settings
 
 from lch import refdata
+from lch.dga import torus_front
 from lch.plat import (
     Event,
     FrontDiagram,
@@ -268,3 +270,26 @@ def test_random_plat_invariants_consistent(sw):
     assert all(table.grading[c] == (1 % m if m else 1) for c in front.cusp_names)
     assert (tb + len(front.cusp_names)) % 2 == len(letters) % 2
     assert m % 2 == 0
+
+
+_TORUS_PAIRS = [(p, q) for p in range(3, 15) for q in range(p + 1, 16) if math.gcd(p, q) == 1]
+
+
+def _assert_turns_balance_in_parity(front):
+    # up + down cusp turns is twice the number of left cusps, so the drift
+    # (up - down) and the imbalance (down - up) are even: a ZT grading never
+    # meets an odd modulus, and r = (down - up)/2 is exact
+    tr = front.traversal
+    assert tr.up_cusps + tr.down_cusps == 2 * sum(e.kind == "L" for e in front.events)
+    assert tr.drift % 2 == 0 and (tr.down_cusps - tr.up_cusps) % 2 == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(knot_plats)
+def test_drift_and_cusp_imbalance_are_even_on_plats(sw):
+    _assert_turns_balance_in_parity(front_of(sw))
+
+
+@pytest.mark.parametrize("p, q", _TORUS_PAIRS)
+def test_drift_and_cusp_imbalance_are_even_on_torus_fronts(p, q):
+    _assert_turns_balance_in_parity(torus_front(p, q)[0])

@@ -53,7 +53,7 @@ def k2():
 
 @pytest.fixture(scope="module")
 def m942():
-    return compute_dga(refdata.m942_front(), F2)
+    return compute_dga(build_front(parse_plat(refdata.M942_WORD, refdata.M942_STRANDS)), F2)
 
 
 # ---- matrix arithmetic ----
@@ -174,7 +174,7 @@ def test_unknot_augmentations():
 
 
 def test_m942_augmentations_match_oracle():
-    g = compute_dga(refdata.m942_front(), F2)
+    g = compute_dga(build_front(parse_plat(refdata.M942_WORD, refdata.M942_STRANDS)), F2)
     assert find_augmentations(g) == exhaustive_augmentations(g)
 
 
@@ -202,7 +202,8 @@ _AUG_DIGESTS = [
     *[(name, make, graded, _EMPTY) for name, make in (
         ("k1", lambda: compute_dga(refdata.k1_front(), F2)),
         ("k2", lambda: compute_dga(refdata.k2_front(), F2)),
-        ("m942", lambda: compute_dga(refdata.m942_front(), F2)))
+        ("m942", lambda: compute_dga(
+            build_front(parse_plat(refdata.M942_WORD, refdata.M942_STRANDS)), F2)))
       for graded in (False, True)],
     ("trefoil", lambda: compute_dga(build_front(parse_plat("2,2,2", 4)), F2), False,
      "ec24a46bbef0f1c9a44b000e16b5332d4710c0500ed5c5a470300fb5b4039c23"),
