@@ -50,16 +50,17 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class RelationSet:
-    """A presentation together with an ordered table of named relations.
+    """A DGA together with an ordered table of named relations over its
+    presentation.
 
     Relations are the ideal generators of the quotient; a relation named n
-    with value p asserts p = 0 in the quotient algebra.  Instances are
+    with value p asserts p = 0 in the quotient algebra.  The DGA's
+    differential is what a certificate's diff step applies.  Instances are
     immutable; adjoining returns a new set.
     """
 
-    presentation: GradedPresentation
+    source: DGA
     relations: tuple[tuple[str, NcPoly], ...]
-    source: Optional[DGA] = None
 
     def __post_init__(self) -> None:
         seen = set()
@@ -77,6 +78,10 @@ class RelationSet:
                 )
 
     @property
+    def presentation(self) -> GradedPresentation:
+        return self.source.presentation
+
+    @property
     def ring(self) -> str:
         return self.presentation.ring
 
@@ -85,7 +90,7 @@ class RelationSet:
 
     def adjoin_all(self, items: Iterable[tuple[str, NcPoly]]) -> "RelationSet":
         extra = tuple((name, value) for name, value in items)
-        return RelationSet(self.presentation, self.relations + extra, self.source)
+        return RelationSet(self.source, self.relations + extra)
 
 
 def char_algebra(g: DGA) -> RelationSet:
@@ -96,7 +101,7 @@ def char_algebra(g: DGA) -> RelationSet:
     table is in bijection with the generators.
     """
     rels = tuple((f"d_{x}", g.d(x)) for x in g.presentation.generators)
-    return RelationSet(g.presentation, rels, source=g)
+    return RelationSet(g, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +380,6 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
             if step.name in table:
                 return fail(i, f"relation name {step.name!r} already registered")
         if isinstance(step, DiffStep):
-            if rs.source is None:
-                return fail(i, "diff step requires a relation set with a source DGA")
             if derive is None:
                 derive = rs.source.derivation()
             if step.expr.ring != ring:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 from . import chalg, dga as dgamod, reps
 from .freealg import F2, ZT, NcPoly, content_lines, parse as parse_poly
-from .plat import build_front, classical_invariants, maslov_grading, parse_plat
+from .plat import FrontDiagram, build_front, classical_invariants, maslov_grading, parse_plat
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -68,7 +68,7 @@ def _load_f2_dga(path: str) -> dgamod.DGA:
     return g
 
 
-def _front_from_args(args) -> "FrontDiagram":
+def _front_from_args(args) -> FrontDiagram:
     return build_front(parse_plat(args.word, args.strands), base_cusp=args.base_cusp)
 
 

@@ -3,9 +3,10 @@
 Three families live here.  Matrix representations over F2 are searched for
 and verified with matrices stored as tuples of row bitmasks (entry (i, j) is
 bit j of row i); augmentations, the one-dimensional case, are every solution
-of the same search.  One compile step reads the relations: for graded
-augmentations it pins the generators of nonzero degree mod the grading's
-modulus to 0, and it files each relation under the level that closes it.
+of the same search.  One compile step reads a DGA's differentials as the
+relations: for graded augmentations it pins the generators of nonzero degree
+mod the grading's modulus to 0, and it files each relation under the level
+that closes it.
 The search assigns generators in order, checks each relation there, solves
 the levels whose relations are affine in the new image, and remembers
 failed subtrees and solved levels by the images they read (see
@@ -29,9 +30,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
-from .chalg import RelationSet
 from .dga import DGA, TorusLabeling
 from .freealg import F2, NcPoly, content_lines, parse, word_key
 
@@ -143,26 +143,19 @@ class MatRepAssignment:
                 raise ValueError(f"image of {g} is not {self.n}x{self.n}")
 
 
-# ---- extracting the constraint system from a DGA or a relation set ----
+# ---- extracting the constraint system from a DGA ----
 
-def _constraints(target: Union[DGA, RelationSet]) -> tuple[tuple[str, ...], list[NcPoly]]:
-    if isinstance(target, DGA):
-        pres = target.presentation
-        rels = [target.d(g) for g in pres.generators]
-    elif isinstance(target, RelationSet):
-        pres = target.presentation
-        rels = [v for _, v in target.relations]
-    else:
-        raise TypeError(f"expected DGA or RelationSet, got {type(target).__name__}")
+def _constraints(g: DGA) -> tuple[tuple[str, ...], list[NcPoly]]:
+    pres = g.presentation
     if pres.ring != F2:
         raise ValueError("representations are supported over F2 only")
-    return tuple(pres.generators), rels
+    return tuple(pres.generators), [g.d(x) for x in pres.generators]
 
 
-def verify_matrix_rep(target: Union[DGA, RelationSet], rho: MatRepAssignment) -> bool:
-    """Check that an assignment of exactly the target's generators kills every relation."""
-    gens, rels = _constraints(target)
-    missing = [g for g in gens if g not in rho.images]
+def verify_matrix_rep(g: DGA, rho: MatRepAssignment) -> bool:
+    """Check that an assignment of exactly g's generators kills every differential."""
+    gens, rels = _constraints(g)
+    missing = [x for x in gens if x not in rho.images]
     if missing:
         raise ValueError(f"no image for generator {missing[0]}")
     if len(rho.images) != len(gens):  # every generator has an image, so one is extra
@@ -171,8 +164,8 @@ def verify_matrix_rep(target: Union[DGA, RelationSet], rho: MatRepAssignment) ->
     return all(evaluate_poly(r, rho.images, rho.n) == zero for r in rels)
 
 
-def _compile(target: Union[DGA, RelationSet], graded: bool = False):
-    """The search's one view of the target's relations: (gens, free, levels).
+def _compile(g: DGA, graded: bool = False):
+    """The search's one view of g's differentials as relations: (gens, free, levels).
 
     free lists the generators the search assigns: all of gens, or with
     graded set those of degree 0 mod the grading's modulus, the others being
@@ -181,12 +174,11 @@ def _compile(target: Union[DGA, RelationSet], graded: bool = False):
     (constant, words over positions in free); it is None when a relation
     reduces to the constant 1, so that nothing solves the system.
     """
-    gens, rels = _constraints(target)
+    gens, rels = _constraints(g)
     free = gens
     if graded:
-        pres = target.presentation
-        free = tuple(x for x in gens if pres.word_degree((x,)) == 0)
-    pos = {g: i for i, g in enumerate(free)}
+        free = tuple(x for x in gens if g.presentation.word_degree((x,)) == 0)
+    pos = {x: i for i, x in enumerate(free)}
     levels: list[list] = [[] for _ in free]
     for r in rels:
         const = 0
@@ -419,8 +411,7 @@ def _walk(levels: Optional[list], n: int, budget: float):
         tried[i] = 0
 
 
-def _search(g: Union[DGA, RelationSet], n: int,
-            budget: int) -> tuple[Optional[MatRepAssignment], str, int]:
+def _search(g: DGA, n: int, budget: int) -> tuple[Optional[MatRepAssignment], str, int]:
     """search_matrix_rep's hit, why the search stopped, and its node count.
 
     The reason is "found", "exhausted" or "budget"; the count is _walk's.
@@ -436,7 +427,7 @@ def _search(g: Union[DGA, RelationSet], n: int,
     return rho, "found", nodes
 
 
-def search_matrix_rep(g: Union[DGA, RelationSet], n: int, budget: int = 10 ** 8) -> Optional[MatRepAssignment]:
+def search_matrix_rep(g: DGA, n: int, budget: int = 10 ** 8) -> Optional[MatRepAssignment]:
     """First Mat_n(F2) representation in deterministic order, or None.
 
     Generators are assigned in presentation order, candidate matrices in

@@ -16,6 +16,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -837,6 +839,44 @@ def test_every_defined_name_is_read_outside_the_tests():
     unread = sorted(name for name, count in defined.items()
                     if len(re.findall(rf"\b{name}\b", corpus)) <= count)
     assert unread == []
+
+
+def test_modules_import_only_the_pinned_modules():
+    # each module's relative imports; a new edge between modules is a design
+    # change, made here on purpose
+    pinned = {
+        "__init__": {"chalg", "dga", "freealg", "plat", "reps"},
+        "__main__": {"cli"},
+        "chalg": {"dga", "freealg"},
+        "cli": {"chalg", "dga", "freealg", "plat", "reps"},
+        "dga": {"freealg", "plat"},
+        "freealg": set(),
+        "plat": set(),
+        "refdata": {"dga", "freealg", "plat"},
+        "reps": {"dga", "freealg"},
+    }
+    graph = {}
+    for path in sorted((ROOT / "src" / "lch").glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                graph[path.stem] |= ({node.module.split(".")[0]} if node.module
+                                     else {a.name for a in node.names})
+    assert graph == pinned
+
+
+def test_every_annotation_resolves():
+    # get_type_hints evaluates each annotation in its module, so a name the
+    # module never imports raises NameError
+    for m in pkgutil.iter_modules(lch.__path__):
+        module = importlib.import_module(f"lch.{m.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            methods = vars(obj).values() if isinstance(obj, type) else ()
+            for f in (obj, *methods):
+                if isinstance(f, (type, types.FunctionType)):
+                    typing.get_type_hints(f)
 
 
 def test_every_module_parses_as_the_oldest_supported_python():

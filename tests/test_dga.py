@@ -11,7 +11,7 @@ import re
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from lch import refdata
+from lch import dga as dga_module, refdata
 from lch.dga import (
     DGA,
     check_d_squared,
@@ -454,8 +454,19 @@ def test_sweep_at_exactly_the_cap_is_kept():
         _assert_matches_column_sweep(front, accepted=True)
 
 
+def test_sweep_needs_its_pruning(monkeypatch):
+    # the second front above, with a table that keeps every pair: its 233
+    # words after x14 stay, and the pass is refused
+    front = build_front(parse_plat("3,3,3,2,2,2,2,2,2,2,2,2,2,2", 4))
+    every = set(itertools.combinations(range(1, front.n_slots + 1), 2))
+    monkeypatch.setattr(dga_module, "_needed_pairs", lambda f: [every] * len(f.events))
+    for ring in (F2, ZT):
+        assert _refusal(front, ring) == "disk sweep for x14 exceeded 144 states per slice"
+
+
 def test_worst_case_plat_is_pinned():
-    # without pruning, the partial disks of this front number in the millions
+    # pins the output of a long front; the pass never holds more than the
+    # cap of 320 words, so it prunes nothing (the test above needs pruning)
     word = "3,3,3,1,1,1,3,3,3,3,3,3,3,3,3,1,1,1,1,3,3,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"
     front = build_front(parse_plat(word, 4))
     assert front.base_cusp == "x38"

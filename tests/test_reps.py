@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from lch import refdata
 from lch import reps as reps_module
-from lch.chalg import RelationSet
 from lch.dga import DGA, compute_dga, deserialize, torus_dga
 from lch.freealg import F2, ZT, GradedPresentation, NcPoly, parse
 from lch.plat import build_front, parse_plat
@@ -252,6 +251,15 @@ def _graded_dga(degrees, differentials):
     return DGA(pres, {x: parse(differentials.get(x, "0"), F2) for x in degrees})
 
 
+def _relation_dga(count, rels):
+    """Generators x1..x<count> of degree 0, the k-th relation as d x<k> and
+    every other differential 0.  The search reads differentials only as
+    relations and files each under the level that closes it, so which
+    generator carries a relation changes no node count."""
+    names = [f"x{i}" for i in range(1, count + 1)]
+    return _graded_dga(dict.fromkeys(names, 0), dict(zip(names, rels)))
+
+
 @pytest.mark.parametrize("degree", [2, 0])
 def test_graded_pinning_reads_degrees_mod_the_modulus(degree):
     # deserialize keeps degree 2 as written; mod 2 it is 0, so x1 is free
@@ -309,18 +317,13 @@ def test_search_budget_exhaustion_is_inconclusive(k2):
     assert _search(k2, 2, 50_000)[1:] == ("budget", 50_000)
 
 
-def _one_relation(text):
-    pres = GradedPresentation(("x1", "x2"), {"x1": 0, "x2": 0})
-    return RelationSet(pres, (("r", parse(text, F2)),))
-
-
 @pytest.mark.parametrize("target,n", [
     ("trefoil", 6),
     # relations that are not linear in the generator they close at, x2 and x1
-    (_one_relation("x2.x2 + x1 + 1"), 4),
-    (_one_relation("x1.x1 + x1 + 1"), 4),
+    (_relation_dga(2, ["x2.x2 + x1 + 1"]), 4),
+    (_relation_dga(2, ["x1.x1 + x1 + 1"]), 4),
     # linear in x2, but above n = 3 nothing is solved
-    (_one_relation("x1.x2 + x2.x1 + 1"), 4),
+    (_relation_dga(2, ["x1.x2 + x2.x1 + 1"]), 4),
 ])
 def test_search_budget_bounds_work_above_table(target, n, request, monkeypatch):
     # above n = 3 every level is enumerated one candidate at a time, so a
@@ -379,14 +382,14 @@ def test_search_matches_plain_enumeration(make, n, nodes, bits):
     assert _search(g, n, nodes - 1)[1:] == ("budget", nodes - 1)
 
 
-def _enumeration_oracle(rs, n):
+def _enumeration_oracle(g, n):
     """First hit and node count of plain depth-first enumeration, by brute force.
 
-    A prefix of codes is tried exactly when every relation supported on its
-    parent prefix vanishes there and it does not come after the hit.
+    A prefix of codes is tried exactly when every differential supported on
+    its parent prefix vanishes there and it does not come after the hit.
     """
-    gens = rs.presentation.generators
-    rels = [v for _, v in rs.relations]
+    gens = g.presentation.generators
+    rels = [g.d(x) for x in gens]
     tops = [max((gens.index(x) for x in r.generators()), default=-1) for r in rels]
     mats = [decode_matrix(c, n) for c in range(1 << (n * n))]
 
@@ -426,11 +429,9 @@ def _enumeration_oracle(rs, n):
     (4, ["x1.x1", "x2 + x3.x1.x2", "x2.x4 + x3.x4.x2 + 1"], 2),
 ])
 def test_search_matches_brute_force_oracle(gens, rels, n):
-    names = [f"x{i}" for i in range(1, gens + 1)]
-    pres = GradedPresentation(tuple(names), dict.fromkeys(names, 0))
-    rs = RelationSet(pres, tuple((f"r{k}", parse(t, F2)) for k, t in enumerate(rels)))
-    hit, nodes = _enumeration_oracle(rs, n)
-    rho, reason, count = _search(rs, n, 10 ** 6)
+    g = _relation_dga(gens, rels)
+    hit, nodes = _enumeration_oracle(g, n)
+    rho, reason, count = _search(g, n, 10 ** 6)
     assert count == nodes
     if hit is None:
         assert rho is None and reason == "exhausted"
@@ -438,23 +439,22 @@ def test_search_matches_brute_force_oracle(gens, rels, n):
         assert reason == "found"
         assert rho.images == {f"x{i + 1}": decode_matrix(c, n) for i, c in enumerate(hit)}
     # every smaller budget stops on the budget, as plain enumeration would
-    assert _search(rs, n, nodes) == (rho, reason, count)
+    assert _search(g, n, nodes) == (rho, reason, count)
     for budget in range(nodes):
-        assert _search(rs, n, budget) == (None, "budget", budget)
+        assert _search(g, n, budget) == (None, "budget", budget)
 
 
 def test_search_charges_failed_subtrees_without_replaying(monkeypatch):
     # x2 is free, so below it only x1 is read: the solved x3 level fails for
     # x1 = 0 and 1 whatever x2 is, and is solved once per x1 before the hit
     # at x1 = 2, where replaying it would take 16 + 16 + 1 visits
-    pres = GradedPresentation(("x1", "x2", "x3"), dict.fromkeys(("x1", "x2", "x3"), 0))
-    rs = RelationSet(pres, (("r", parse("x1.x3 + x3.x1 + 1", F2)),))
+    g = _relation_dga(3, ["x1.x3 + x3.x1 + 1"])
     reps_module._product_table(2)  # built from subset-XOR tables too
     solves = []
     real = reps_module._subset_xor
     monkeypatch.setattr(reps_module, "_subset_xor",
                         lambda base, units: solves.append(base) or real(base, units))
-    assert _search(rs, 2, 10 ** 6)[1:] == ("found", 553)
+    assert _search(g, 2, 10 ** 6)[1:] == ("found", 553)
     assert len(solves) == 3
 
 
