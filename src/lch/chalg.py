@@ -409,7 +409,7 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
             if not table[step.name].is_one():
                 return fail(i, f"relation {step.name!r} is not 1", table[step.name])
             continue
-        elif isinstance(step, AssertEqualStep):
+        else:  # AssertEqualStep, the last of the five step types parse_certificate builds
             if step.name not in table:
                 return fail(i, f"unknown relation {step.name!r}")
             if table[step.name] != step.expr:
@@ -419,8 +419,6 @@ def verify_certificate(rs: RelationSet, cert: Certificate) -> CertReport:
                     table[step.name] - step.expr,
                 )
             continue
-        else:  # pragma: no cover - defensive
-            return fail(i, f"unknown step type {type(step).__name__}")
         table[step.name] = value
         registered.append(step.name)
     return CertReport(True, table, tuple(registered))

