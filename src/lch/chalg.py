@@ -25,7 +25,6 @@ substitution, which the acyclicity makes finite and strategy-independent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -36,6 +35,7 @@ from .freealg import (
     NcPoly,
     content_lines,
     parse as parse_poly,
+    record,
     substitute,
 )
 
@@ -48,8 +48,9 @@ class CertificateError(ValueError):
 # relation sets
 
 
-@dataclass(frozen=True)
-class RelationSet:
+@record
+class RelationSet(NamedTuple("RelationSet", [
+        ("source", DGA), ("relations", tuple[tuple[str, NcPoly], ...])])):
     """A DGA together with an ordered table of named relations over its
     presentation.
 
@@ -59,23 +60,23 @@ class RelationSet:
     immutable; adjoining returns a new set.
     """
 
-    source: DGA
-    relations: tuple[tuple[str, NcPoly], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, source: DGA, relations: tuple[tuple[str, NcPoly], ...]):
         seen = set()
-        known = set(self.presentation.generators)
-        for name, value in self.relations:
+        known = set(source.presentation.generators)
+        for name, value in relations:
             if name in seen:
                 raise ValueError(f"duplicate relation name {name!r}")
             seen.add(name)
-            if value.ring != self.presentation.ring:
+            if value.ring != source.presentation.ring:
                 raise ValueError(f"relation {name!r} ring mismatch")
             unknown = value.generators() - known
             if unknown:
                 raise ValueError(
                     f"relation {name!r} uses unknown generators {sorted(unknown)}"
                 )
+        return super().__new__(cls, source, relations)
 
     @property
     def presentation(self) -> GradedPresentation:
@@ -108,33 +109,33 @@ def char_algebra(g: DGA) -> RelationSet:
 # certificates
 
 
-@dataclass(frozen=True)
-class DiffStep:
+@record
+class DiffStep(NamedTuple):
     name: str
     expr: NcPoly
 
 
-@dataclass(frozen=True)
-class CombStep:
+@record
+class CombStep(NamedTuple):
     name: str
     # terms (u, r, v): left cofactor, prior relation name, right cofactor
     terms: tuple[tuple[NcPoly, str, NcPoly], ...]
 
 
-@dataclass(frozen=True)
-class SubstStep:
+@record
+class SubstStep(NamedTuple):
     name: str
     source: str
     rules: tuple[tuple[str, NcPoly], ...]
 
 
-@dataclass(frozen=True)
-class AssertUnitStep:
+@record
+class AssertUnitStep(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class AssertEqualStep:
+@record
+class AssertEqualStep(NamedTuple):
     name: str
     expr: NcPoly
 
@@ -142,11 +143,19 @@ class AssertEqualStep:
 Step = Union[DiffStep, CombStep, SubstStep, AssertUnitStep, AssertEqualStep]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     steps: tuple[Step, ...]
     # the line each step was read from; equality compares the steps alone
-    lines: tuple[int, ...] = field(compare=False)
+    lines: tuple[int, ...]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.steps == other.steps
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
 
 
 _NAME = r"[A-Za-z_]\w*"
@@ -227,8 +236,8 @@ class Directive(NamedTuple):
     value: NcPoly
 
 
-@dataclass(frozen=True)
-class CertDirectives:
+@record
+class CertDirectives(NamedTuple):
     """Machine-readable comments carried by a certificate file.
 
     `assume` lines name the extra relations (beyond the differentials) the
@@ -297,8 +306,8 @@ def parse_cert_directives(text: str, ring: str = F2) -> CertDirectives:
 # replay
 
 
-@dataclass
-class CertReport:
+@record
+class CertReport(NamedTuple):
     ok: bool
     table: dict[str, NcPoly]
     registered: tuple[str, ...]
@@ -448,8 +457,8 @@ def verify_unit(g: DGA, e: NcPoly) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NoRepVerdict:
+@record
+class NoRepVerdict(NamedTuple):
     ok: bool
     detail: str
     report: CertReport

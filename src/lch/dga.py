@@ -37,8 +37,7 @@ refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .freealg import (
     F2,
@@ -51,14 +50,15 @@ from .freealg import (
     _poly,
     content_lines,
     parse,
+    record,
     signed_derivation,
     specialize,
 )
 from .plat import FrontDiagram, maslov_grading
 
 
-@dataclass
-class DGA:
+@record
+class DGA(NamedTuple):
     presentation: GradedPresentation
     differential: dict[str, NcPoly]
 
@@ -391,8 +391,8 @@ def dga_diag_equivalent(g1: DGA, g2: DGA):
 
 # ---- torus knot fronts T(p,-q) ----
 
-@dataclass(frozen=True)
-class TorusLabeling:
+@record
+class TorusLabeling(NamedTuple):
     x: dict[tuple[int, int], str]  # left-half crossings x_{ij}, i < j
     y: dict[tuple[int, int], str]  # right-half crossings y_{ij}
     z: dict[int, str]  # right cusps z_i

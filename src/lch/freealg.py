@@ -13,9 +13,8 @@ equality is literal equality of term dictionaries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 F2 = "F2"
 ZT = "ZT"
@@ -42,6 +41,25 @@ class GradingError(ValueError):
 def _check_ring(ring: str) -> None:
     if ring not in _RINGS:
         raise ValueError(f"unknown ring {ring!r}")
+
+
+def _eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _ne(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+def record(cls):
+    """Make a NamedTuple class equal only to a record of its own class with
+    equal fields, never to a plain tuple or a record of another class.
+
+    lch's records are NamedTuples, not dataclasses, because a dataclass
+    generates and compiles its methods when the module is imported.  plat,
+    which imports no other module of lch, keeps its own copy of this."""
+    cls.__eq__, cls.__ne__ = _eq, _ne
+    return cls
 
 
 @lru_cache(maxsize=None)
@@ -278,8 +296,10 @@ def specialize(p: NcPoly) -> NcPoly:
     return _poly(F2, [(w, 0, sum(coef.values())) for w, coef in p.terms.items()])
 
 
-@dataclass
-class GradedPresentation:
+@record
+class GradedPresentation(NamedTuple("GradedPresentation", [
+        ("generators", tuple[str, ...]), ("grading", dict[str, int]),
+        ("ring", str), ("modulus", int)])):
     """Ordered generators of a free algebra, each with its degree.
 
     The grading covers exactly the generators: every DGA here is graded by
@@ -288,27 +308,26 @@ class GradedPresentation:
     the Leibniz signs read degrees mod 2, so the modulus must be even (or 0).
     """
 
-    generators: tuple[str, ...]
-    grading: dict[str, int]
-    ring: str = F2
-    modulus: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_ring(self.ring)
-        self.generators = tuple(self.generators)
-        if len(set(self.generators)) != len(self.generators):
+    def __new__(cls, generators: Iterable[str], grading: dict[str, int],
+                ring: str = F2, modulus: int = 0):
+        _check_ring(ring)
+        generators = tuple(generators)
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        for g in self.generators:
+        for g in generators:
             if not _NAME_RE.fullmatch(g):
                 raise ValueError(f"bad generator name {g!r}")
-        unknown = set(self.grading) - set(self.generators)
+        unknown = set(grading) - set(generators)
         if unknown:
             raise ValueError(f"grading for unknown generators {sorted(unknown)}")
-        missing = [g for g in self.generators if g not in self.grading]
+        missing = [g for g in generators if g not in grading]
         if missing:
             raise ValueError(f"no grading for generators {missing}")
-        if self.ring == ZT and self.modulus % 2:
+        if ring == ZT and modulus % 2:
             raise GradingError("signs need a Z or even-modulus grading")
+        return super().__new__(cls, generators, grading, ring, modulus)
 
     def degree_of(self, name: str) -> int:
         return self.grading[name]

@@ -29,9 +29,23 @@ live in Z when r = 0 and in Z/|2r| otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
+
+
+def _eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _ne(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+def _record(cls):
+    """A copy of freealg.record, which plat does not import: the class's
+    records equal only records of that class with equal fields."""
+    cls.__eq__, cls.__ne__ = _eq, _ne
+    return cls
 
 
 class Event(NamedTuple):
@@ -40,17 +54,17 @@ class Event(NamedTuple):
     name: str | None  # generator name of an X or R, None for an L
 
 
-@dataclass(frozen=True)
-class PlatWord:
-    strand_count: int
-    letters: tuple[int, ...]
+@_record
+class PlatWord(NamedTuple("PlatWord", [("strand_count", int), ("letters", tuple[int, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strand_count < 2 or self.strand_count % 2:
-            raise ValueError(f"strand count must be even and >= 2, got {self.strand_count}")
-        for k in self.letters:
-            if not 1 <= k <= self.strand_count - 1:
-                raise ValueError(f"letter {k} out of range 1..{self.strand_count - 1}")
+    def __new__(cls, strand_count: int, letters: tuple[int, ...]):
+        if strand_count < 2 or strand_count % 2:
+            raise ValueError(f"strand count must be even and >= 2, got {strand_count}")
+        for k in letters:
+            if not 1 <= k <= strand_count - 1:
+                raise ValueError(f"letter {k} out of range 1..{strand_count - 1}")
+        return super().__new__(cls, strand_count, letters)
 
 
 def parse_plat(text: str, strand_count: int) -> PlatWord:
@@ -66,8 +80,8 @@ def parse_plat(text: str, strand_count: int) -> PlatWord:
     return PlatWord(strand_count, letters)
 
 
-@dataclass(frozen=True)
-class Traversal:
+@_record
+class Traversal(NamedTuple):
     crossing_signs: dict[str, int]
     down_cusps: int
     up_cusps: int
@@ -77,8 +91,8 @@ class Traversal:
     drift: int  # potential change after one full loop
 
 
-@dataclass(frozen=True)
-class GradingTable:
+@_record
+class GradingTable(NamedTuple):
     grading: dict[str, int]
     modulus: int  # 0 means Z-graded
 
@@ -87,9 +101,10 @@ class FrontDiagram:
     """Validated, named events plus the traversal data derived from them.
 
     `events` are (kind, (upper, lower)) pairs, west to east, with kind "L",
-    "X" or "R"; a named Event is refused, since the names are made here.  One pass checks each one's kind, its slot order and the live
-    slots it meets, and names the k-th crossing or right cusp x<k>: the
-    names every DGA, grading and labeling of the front reads.
+    "X" or "R"; a named Event is refused, since the names are made here.
+    One pass checks each one's kind, its slot order and the live slots it
+    meets, and names the k-th crossing or right cusp x<k>: the names every
+    DGA, grading and labeling of the front reads.
     """
 
     def __init__(self, n_slots: int, events: Iterable[tuple[str, tuple[int, int]]],

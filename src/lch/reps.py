@@ -29,11 +29,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .dga import DGA, TorusLabeling
-from .freealg import F2, NcPoly, content_lines, parse, word_key
+from .freealg import F2, NcPoly, content_lines, parse, record, word_key
 
 Mat = tuple[int, ...]
 
@@ -130,17 +129,18 @@ def evaluate_poly(p: NcPoly, images: Mapping[str, Mat], n: int) -> Mat:
     return acc
 
 
-@dataclass(frozen=True)
-class MatRepAssignment:
+@record
+class MatRepAssignment(NamedTuple("MatRepAssignment", [
+        ("n", int), ("images", Mapping[str, Mat])])):
     """Images of every generator of a presentation in Mat_n(F2)."""
 
-    n: int
-    images: Mapping[str, Mat]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g, m in self.images.items():
-            if len(m) != self.n or any(row >> self.n for row in m):
-                raise ValueError(f"image of {g} is not {self.n}x{self.n}")
+    def __new__(cls, n: int, images: Mapping[str, Mat]):
+        for g, m in images.items():
+            if len(m) != n or any(row >> n for row in m):
+                raise ValueError(f"image of {g} is not {n}x{n}")
+        return super().__new__(cls, n, images)
 
 
 # ---- extracting the constraint system from a DGA ----
@@ -592,8 +592,9 @@ def mat2_presentation_check() -> bool:
 
 # ---- truncated operators on span(v_0 .. v_{N-1}) ----
 
-@dataclass(frozen=True)
-class TruncatedOp:
+@record
+class TruncatedOp(NamedTuple("TruncatedOp", [
+        ("N", int), ("rows", tuple[int, ...]), ("slope", int), ("offset", int)])):
     """Right-acting operator truncated to N coordinates.
 
     rows[i] is the image of v_i as a bitmask over v_0..v_{N-1}, so a word
@@ -604,18 +605,16 @@ class TruncatedOp:
     offset dominates the operator's untruncated index growth.
     """
 
-    N: int
-    rows: tuple[int, ...]
-    slope: int
-    offset: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rows) != self.N:
+    def __new__(cls, N: int, rows: tuple[int, ...], slope: int, offset: int):
+        if len(rows) != N:
             raise ValueError("row count disagrees with truncation size")
-        if self.slope < 1 or self.offset < 0:
+        if slope < 1 or offset < 0:
             raise ValueError("growth bound must be monotone")
-        if min(self.rows, default=0) < 0 or max(self.rows, default=0) >> self.N:
-            raise ValueError(f"a row is not a bitmask over {self.N} coordinates")
+        if min(rows, default=0) < 0 or max(rows, default=0) >> N:
+            raise ValueError(f"a row is not a bitmask over {N} coordinates")
+        return super().__new__(cls, N, rows, slope, offset)
 
 
 def _valid_domain(N: int, slope: int, offset: int) -> int:
@@ -698,15 +697,15 @@ _R_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class RRelationCheck:
+@record
+class RRelationCheck(NamedTuple):
     name: str
     checked_upto: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class RRelationReport:
+@record
+class RRelationReport(NamedTuple):
     ok: bool
     checks: tuple[RRelationCheck, ...]
 

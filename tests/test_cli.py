@@ -915,6 +915,28 @@ def test_modules_import_only_the_pinned_modules():
     assert graph == pinned
 
 
+def test_importing_lch_generates_no_code():
+    # a dataclass writes and compiles its methods when its module is
+    # imported, which for lch's 20 records costs more than the rest of the
+    # import; the records are NamedTuples, so a fresh import loads neither
+    # dataclasses nor inspect
+    for path in sorted((ROOT / "src" / "lch").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lch.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_every_annotation_resolves():
     # get_type_hints evaluates each annotation in its module, so a name the
     # module never imports raises NameError
