@@ -7,7 +7,8 @@ operations, parse, substitute, specialize and derivations alike, gets its
 terms from one function, `_normal_form`, which sums (word, exponent,
 coefficient) triples.  It keeps the invariant that equality rests on: no
 zero coefficient is stored, and over F2 the only coefficient is {0: 1}, so
-equality is literal equality of term dictionaries.
+equality is literal equality of term dictionaries.  That {0: 1}, and every
+ZT coefficient equal to {0: 1} or {0: -1}, is one shared dict, never written.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ Word = tuple[str, ...]
 # coefficient = Laurent polynomial, exponent -> integer, no zero values stored
 Coef = dict[int, int]
 Triple = tuple[Word, int, int]  # (word, exponent of t, coefficient)
+
+# the coefficients 1 and -1, shared by every term that has them
+_ONE: Coef = {0: 1}
+_MINUS_ONE: Coef = {0: -1}
 
 
 class GradingError(ValueError):
@@ -99,7 +104,7 @@ def _normal_form(ring: str, triples: list[Triple]) -> dict[Word, Coef]:
         terms = {}
         for w, c in parity.items():
             if c & 1:
-                terms[w] = {0: 1}
+                terms[w] = _ONE
     else:
         sums: dict[Word, Coef] = {}
         for w, e, c in triples:
@@ -111,7 +116,9 @@ def _normal_form(ring: str, triples: list[Triple]) -> dict[Word, Coef]:
         terms = {}
         for w, coef in sums.items():
             if any(coef.values()):
-                terms[w] = coef if all(coef.values()) else {e: c for e, c in coef.items() if c}
+                if not all(coef.values()):
+                    coef = {e: c for e, c in coef.items() if c}
+                terms[w] = _ONE if coef == _ONE else _MINUS_ONE if coef == _MINUS_ONE else coef
     return terms
 
 

@@ -208,24 +208,47 @@ def _subset_xor(base: int, units: list[int]) -> list[int]:
     return vals
 
 
+class _Row:
+    """A product-table row not built yet: its first read builds the row and
+    writes it into its slot, and reads through a held reference find it there."""
+
+    __slots__ = ("table", "x", "basis")
+
+    def __init__(self, table: list, x: int, basis: tuple):
+        self.table, self.x, self.basis = table, x, basis
+
+    def __getitem__(self, y: int) -> int:
+        row = self.table[self.x]
+        if row is self:
+            row = self.table[self.x] = _product_row(self.basis, self.x)
+        return row[y]
+
+
+def _product_row(basis: tuple, x: int) -> tuple[int, ...]:
+    columns, codes = basis
+    return tuple(map(codes.__getitem__, _subset_xor(0, [c[x] for c in columns])))
+
+
 @functools.lru_cache(maxsize=None)
-def _product_table(n: int) -> tuple[tuple[int, ...], ...]:
+def _product_table(n: int) -> list:
     """table[x][y] is the code of the product of the matrices coded x and y.
 
-    Built on first use for each n <= 3 and shared by every search after.
-    The product is bilinear, so the n^4 products E_b E_k of elementary
-    matrices, each one mat_mul, determine it: x E_k is the XOR of E_b E_k
-    over the set bits b of x, and row x is the subset-XOR table of those
-    n^2 values.
-    Entries are drawn from one list of codes, so equal entries share an int
-    object.
+    One table per n <= 3, shared by every search after; row x is built when
+    it is first read.  The product is bilinear, so the n^4 products E_b E_k
+    of elementary matrices, each one mat_mul, determine it: x E_k is the XOR
+    of E_b E_k over the set bits b of x, and row x is the subset-XOR table
+    of those n^2 values.  Entries are drawn from one list of codes, so
+    equal entries share an int object.
     """
     elementary = [decode_matrix(1 << b, n) for b in range(n * n)]
     # columns[k][x] is the code of x E_k
     columns = [_subset_xor(0, [encode_matrix(mat_mul(e, f), n) for e in elementary])
                for f in elementary]
     codes = list(range(1 << (n * n)))
-    return tuple(tuple(map(codes.__getitem__, _subset_xor(0, row))) for row in zip(*columns))
+    basis = ([list(map(codes.__getitem__, c)) for c in columns], codes)
+    table: list = []
+    table += [_Row(table, x, basis) for x in codes]
+    return table
 
 
 def _walk(levels: Optional[list], n: int, budget: float):
@@ -241,9 +264,10 @@ def _walk(levels: Optional[list], n: int, budget: float):
     if not levels:
         yield (), 0
         return "exhausted", 0
-    # matrices live as their row-major codes; for n <= 3 a full product
-    # table turns each word step into one lookup, and affine levels are
-    # solved; a 2^(n^2) table per visit is too large beyond that
+    # matrices live as their row-major codes; for n <= 3 a product table,
+    # its rows built as the search reads them, turns each word step into
+    # one lookup, and affine levels are solved; a 2^(n^2) table per visit
+    # is too large beyond that
     nn = n * n
     count = 1 << nn
     ident = encode_matrix(mat_identity(n), n)
@@ -452,7 +476,9 @@ def search_matrix_rep(g: DGA, n: int, budget: int = 10 ** 8) -> Optional[MatRepA
     the entry depends on.  A visit of a level charges 2^(n^2) candidates
     once done, and each entry comes from one visit, so a search of `nodes`
     candidates stores at most nodes / 2^(n^2) of each, plus one per level
-    for the visits still open when it stops.  The budget counts candidates
+    for the visits still open when it stops.  For n <= 3 it also holds the
+    rows of the product table it reads, 2^(n^2) codes each, built on first
+    read and kept for later searches.  The budget counts candidates
     in enumeration order throughout, so the first hit, the node count and
     the budget's meaning do not depend on solving or remembering.
     Exhausting the node budget returns None, which is inconclusive:

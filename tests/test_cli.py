@@ -25,10 +25,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lch
-from lch import refdata, reps
+from lch import freealg, refdata, reps
 from lch.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
-from lch.dga import compute_dga, deserialize, serialize, torus_dga
-from lch.freealg import F2
+from lch.dga import check_d_squared, compute_dga, deserialize, serialize, torus_dga
+from lch.freealg import F2, ZT
 from lch.plat import build_front, parse_plat
 from lch.reps import MatRepAssignment, _search
 
@@ -730,6 +730,17 @@ README_COMMANDS = [
 ]
 
 
+def _readme_tables(work: pathlib.Path) -> dict[str, pathlib.Path]:
+    # the tables README_COMMANDS name, written under work
+    tables = {"m942": _m942_table(),
+              "t34": serialize(torus_dga(3, 4)[1]),
+              "trefoil": serialize(compute_dga(build_front(parse_plat("2,2,2", 4)), F2))}
+    paths = {name: work / f"{name}.dga" for name in tables}
+    for name, text in tables.items():
+        paths[name].write_text(text)
+    return paths
+
+
 # runs each argv of its JSON argument through main, prints the outcomes
 _OUTCOMES = """
 import contextlib, io, json, sys
@@ -751,12 +762,7 @@ def test_outcomes_do_not_depend_on_the_hash_seed(tmp_path):
     # no verdict may rest on one
     bad = tmp_path / "bad.dga"
     bad.write_text("ring F2\ngen x1 1\nd x1 = yy.zz + ww\n")
-    tables = {"m942": _m942_table(),
-              "t34": serialize(torus_dga(3, 4)[1]),
-              "trefoil": serialize(compute_dga(build_front(parse_plat("2,2,2", 4)), F2))}
-    paths = {name: tmp_path / f"{name}.dga" for name in tables}
-    for name, text in tables.items():
-        paths[name].write_text(text)
+    paths = _readme_tables(tmp_path)
     sequence = [["verify", "d2", "--dga", str(bad)]] + [
         [a.format(**paths) for a in argv] for argv in README_COMMANDS]
 
@@ -1019,6 +1025,82 @@ _EDITS = st.lists(st.one_of(
     st.tuples(st.just("insert"), st.integers(0, 10 ** 6), st.sampled_from(_TOKENS)),
     st.tuples(st.just("duplicate"), st.integers(0, 10 ** 6), st.none()),
 ), min_size=1, max_size=3)
+
+
+def test_exit_codes_are_the_documented_numbers(tmp_path):
+    # the README promises 0, 1 and 2; the constants of lch.cli could drift
+    # together with every test that compares against them, so these are
+    # literals, read from the exit status of a process
+    bad = tmp_path / "bad.dga"
+    bad.write_text(_k2_with_d_x2_moved())
+    codes = [_outcome_alone(["verify", "d2", "--dga", path])[2]
+             for path in (K2_DGA, str(bad), str(tmp_path / "missing.dga"))]
+    assert codes == [0, 1, 2]
+
+
+# each subcommand with a value for every option it requires; listed by hand,
+# since a dropped required=True would also drop out of the parser's own list
+REQUIRED_OPTIONS = [
+    (["dga", "2,2,2"], {"--strands": "4"}),
+    (["invariants", "2,2,2"], {"--strands": "4"}),
+    (["grading", "2,2,2"], {"--strands": "4"}),
+    (["torus-dga"], {"--p": "3", "--q": "5"}),
+    (["verify", "d2"], {"--dga": K2_DGA}),
+    (["verify", "unit"], {"--dga": K1_DGA, "--element-file": K1_EXPR}),
+    (["verify", "cert"], {"--dga": K2_DGA, "--cert": K2_QUOT}),
+    (["verify", "norep"], {"--dga": K2_DGA, "--cert": K2_NOREP}),
+    (["verify", "rep"], {"--dga": K2_DGA, "--rep": M942_REP}),
+    (["verify", "torus"], {"--p": "3", "--q": "5"}),
+    (["search", "aug"], {"--dga": K2_DGA}),
+    (["search", "matrep"], {"--dga": K2_DGA, "--n": "1"}),
+]
+
+
+def test_required_options_are_listed_in_full():
+    declared = set()
+    parsers = [([], build_parser())]
+    while parsers:
+        path, parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += [(path + [name], sub) for name, sub in action.choices.items()]
+            elif action.required and action.option_strings:
+                declared.add((tuple(path), action.option_strings[0]))
+    listed = {(tuple(w for w in words if w != "2,2,2"), option)
+              for words, options in REQUIRED_OPTIONS for option in options}
+    assert listed == declared
+
+
+@pytest.mark.parametrize("words,options,left_out", [
+    (words, options, option) for words, options in REQUIRED_OPTIONS for option in options])
+def test_missing_required_option_is_a_usage_error(words, options, left_out):
+    argv = list(words)
+    for option, value in options.items():
+        if option != left_out:
+            argv += [option, value]
+    out, err, code = _outcome(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: the following arguments are required: {left_out}\n")
+    assert "Traceback" not in err
+
+
+def test_shared_coefficients_are_never_written(tmp_path, capsys):
+    # every F2 term and every ZT term with coefficient 1 or -1 holds one of
+    # two module-level dicts; a write through any term would change them all
+    paths = _readme_tables(tmp_path)
+    for argv in README_COMMANDS:
+        assert main([a.format(**paths) for a in argv]) == EXIT_OK
+    for path in (K1_DGA, K2_DGA):
+        assert check_d_squared(deserialize(pathlib.Path(path).read_text())) is None
+    capsys.readouterr()
+    assert freealg._ONE == {0: 1} and freealg._MINUS_ONE == {0: -1}
+    triples = [(("a",), 0, 1), (("b",), 0, -1), (("c",), 0, 2), (("d",), 1, 1)]
+    f2 = freealg._normal_form(F2, [(w, 0, c) for w, _, c in triples])
+    zt = freealg._normal_form(ZT, triples)
+    assert list(f2) == [("a",), ("b",), ("d",)]
+    assert all(coef is freealg._ONE for coef in f2.values())
+    assert zt[("a",)] is freealg._ONE and zt[("b",)] is freealg._MINUS_ONE
+    assert zt[("c",)] == {0: 2} and zt[("d",)] == {1: 1}
 
 
 def _mutate(text: str, edits) -> str:

@@ -24,7 +24,7 @@ from lch.dga import (
     torus_dga,
     torus_front,
 )
-from lch.freealg import F2, ZT, Coef, NcPoly, Word, parse
+from lch.freealg import F2, ZT, Coef, GradedPresentation, NcPoly, Word, parse
 from lch.plat import build_front, maslov_grading, parse_plat
 from lch.reps import torus_rep, verify_matrix_rep
 from plat_strategies import front_of, knot_plats
@@ -173,6 +173,20 @@ def test_diag_equivalence_rejects_different_supports(k1_zt):
     broken = DGA(ref.presentation,
                  dict(ref.differential) | {"x2": parse("x3", ZT)})
     assert dga_diag_equivalent(k1_zt, broken) is None
+
+
+def test_diag_equivalence_of_a_table_with_itself_is_the_identity(k1_zt):
+    gens = k1_zt.presentation.generators
+    assert dga_diag_equivalent(k1_zt, k1_zt) == ({g: 1 for g in gens}, "t")
+
+
+def test_diag_equivalence_rejects_another_grading(k1_zt):
+    # the same differentials, with one generator's degree moved
+    pres = k1_zt.presentation
+    grading = dict(pres.grading) | {"x1": pres.grading["x1"] + 1}
+    moved = DGA(GradedPresentation(pres.generators, grading, ZT, pres.modulus),
+                k1_zt.differential)
+    assert dga_diag_equivalent(k1_zt, moved) is None
 
 
 def test_diag_equivalence_needs_laurent_ring(k2_f2):

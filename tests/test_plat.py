@@ -205,8 +205,11 @@ def _loop(c, d):
     (2, [("L", (1, 2)), ("Y", (2, 1))], None, "unknown event kind 'Y'"),
     (2, [("L", (1, 2)), ("X", (2, 1))], None,
      "event slots must be (upper, lower), got (2, 1)"),
+    (2, [("L", (1, 2)), ("X", (2, 2))], None,
+     "event slots must be (upper, lower), got (2, 2)"),
 ], ids=["below-1", "beyond-n", "straddle", "reopen", "dead", "unclosed",
-        "unnamed", "repeated-name", "base-cusp", "unknown-kind", "slot-order"])
+        "unnamed", "repeated-name", "base-cusp", "unknown-kind", "slot-order",
+        "equal-slots"])
 def test_front_diagram_validation_messages(n_slots, events, base, message):
     with pytest.raises(ValueError) as err:
         FrontDiagram(n_slots, events, base_cusp=base)

@@ -107,10 +107,11 @@ def test_mat_mul_matches_entrywise_product(n, data):
 def test_product_table_matches_entrywise_product(n):
     # the search's table is built from mat_mul, so it is checked against a
     # product that shares no code with it: every pair at n <= 2, a seeded
-    # sample at n = 3
+    # sample at n = 3.  Rows are built as they are read, so they are read by
+    # index; the code past the last one has no row and no entry
     table = reps_module._product_table(n)
     count = 1 << (n * n)
-    assert len(table) == count and all(len(row) == count for row in table)
+    assert len(table) == count
     if n < 3:
         pairs = list(itertools.product(range(count), repeat=2))
     else:
@@ -118,6 +119,8 @@ def test_product_table_matches_entrywise_product(n):
         pairs = [(rng.randrange(count), rng.randrange(count)) for _ in range(4000)]
     for x, y in pairs:
         assert table[x][y] == _entrywise_product(x, y, n), (x, y)
+    with pytest.raises(IndexError):
+        table[count - 1][count]
 
 
 def test_evaluate_poly_unit_is_identity(trefoil):
@@ -444,12 +447,51 @@ def test_search_matches_brute_force_oracle(gens, rels, n):
         assert _search(g, n, budget) == (None, "budget", budget)
 
 
+def _build_every_row(n):
+    # rows are built from subset-XOR tables too, on first read, so a test
+    # that counts the search's own tables reads every row first
+    for row in reps_module._product_table(n):
+        row[0]
+
+
+_TABULATING_SEARCHES = [
+    lambda: find_augmentations(torus_dga(5, 8)[1]),
+    lambda: _search(torus_dga(3, 8)[1], 2, 10 ** 8),
+]
+
+
+def test_product_table_builds_each_row_once_on_first_read(monkeypatch):
+    built = []
+    real = reps_module._product_row
+    monkeypatch.setattr(reps_module, "_product_row",
+                        lambda basis, x: built.append((len(basis[1]), x)) or real(basis, x))
+    reps_module._product_table.cache_clear()
+    table = reps_module._product_table(3)
+    assert built == [] and not any(type(row) is tuple for row in table)
+    # each row at most once, from the n = 1 and 2 tables of these searches
+    # to the n = 3 rows the trefoil's search reads
+    for search in _TABULATING_SEARCHES:
+        search()
+    trefoil = compute_dga(build_front(parse_plat("2,2,2", 4)), F2)
+    before = len(built)
+    assert _search(trefoil, 3, 10 ** 8)[1] == "found"
+    assert len(built) - before == 10
+    assert len(set(built)) == len(built)
+    # a built row sits in its own slot, where the search's subscript finds
+    # a tuple, and a placeholder held across the build reads from it
+    x = next(x for x, row in enumerate(table) if type(row) is not tuple)
+    held = table[x]
+    assert held[3] == _entrywise_product(x, 3, 3)
+    assert type(table) is list and type(table[x]) is tuple
+    assert held[7] == table[x][7] and built.count((512, x)) == 1
+
+
 def test_search_charges_failed_subtrees_without_replaying(monkeypatch):
     # x2 is free, so below it only x1 is read: the solved x3 level fails for
     # x1 = 0 and 1 whatever x2 is, and is solved once per x1 before the hit
     # at x1 = 2, where replaying it would take 16 + 16 + 1 visits
     g = _relation_dga(3, ["x1.x3 + x3.x1 + 1"])
-    reps_module._product_table(2)  # built from subset-XOR tables too
+    _build_every_row(2)
     solves = []
     real = reps_module._subset_xor
     monkeypatch.setattr(reps_module, "_subset_xor",
@@ -458,14 +500,12 @@ def test_search_charges_failed_subtrees_without_replaying(monkeypatch):
     assert len(solves) == 3
 
 
-@pytest.mark.parametrize("search,most", [
-    (lambda: find_augmentations(torus_dga(5, 8)[1]), 6),
-    (lambda: _search(torus_dga(3, 8)[1], 2, 10 ** 8), 96),
-], ids=["T(5,-8) n=1", "T(3,-8) n=2"])
+@pytest.mark.parametrize("search,most", zip(_TABULATING_SEARCHES, [6, 96]),
+                         ids=["T(5,-8) n=1", "T(3,-8) n=2"])
 def test_search_tabulates_each_affine_map_once(search, most, monkeypatch):
     # T(5,-8) visits its solved levels 18,518 times and T(3,-8) 8,943 times
     for n in (1, 2):
-        reps_module._product_table(n)  # built from subset-XOR tables too
+        _build_every_row(n)
     maps = []
     real = reps_module._subset_xor
     monkeypatch.setattr(reps_module, "_subset_xor",
